@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import limits
@@ -30,7 +31,7 @@ from .errors import (
     RangeError,
 )
 from .frequency import Collective, conditional_s_probability, parse_selector, s_probability
-from .padic import PadicApprox, Prime, abs_p, as_fraction, to_approx, vp
+from .padic import DEFAULT_PRECISION, PadicApprox, Prime, abs_p, as_fraction, to_approx, vp
 from .reports import format_exponent, format_rational, json_exponent
 
 EXIT_CODES = {"ok": 0, "parse": 2, "hypothesis": 3, "data": 4, "domain": 5}
@@ -39,8 +40,25 @@ EXIT_CODES = {"ok": 0, "parse": 2, "hypothesis": 3, "data": 4, "domain": 5}
 _PARSE_TYPES = (InvalidTarget, InvalidLabel, RangeError, DigitRange, ValueError, ZeroDivisionError)
 
 
-def _default_digits() -> int:
-    return int(os.environ.get("PADICPROB_PRECISION", "12"))
+def _default_digits() -> str:
+    # a string default goes through the option's type check, so a bad
+    # value is reported as an argument error (exit 2), not a traceback
+    return os.environ.get("PADICPROB_PRECISION", str(DEFAULT_PRECISION))
+
+
+@contextmanager
+def _unlimited_int_text():
+    """Lift the interpreter's int-to-text digit limit while a handler
+    runs: exact reports print their integers at any size."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _emit(lines, path):
@@ -381,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("valuation", help="p-adic valuation and absolute value of a rational")
     s.add_argument("value", help="rational, e.g. 12 or 5/16")
     s.add_argument("--prime", type=int, required=True)
-    s.add_argument("--digits", type=int, default=_default_digits())
+    s.add_argument("--digits", type=int, default=_default_digits(),
+                   help=f"expansion digits (default: $PADICPROB_PRECISION, else {DEFAULT_PRECISION})")
     _add_common(s)
     s.set_defaults(func=_cmd_valuation)
 
@@ -486,7 +505,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _echo_config(args)
     try:
-        args.func(args)
+        with _unlimited_int_text():
+            args.func(args)
     except HypothesisViolation as exc:
         _say(f"error: {exc}")
         return EXIT_CODES["hypothesis"]

@@ -148,48 +148,77 @@ class SumDistribution:
         return comb(self.n, j) * qp**j * q ** (self.n - j)
 
     def weights(self) -> list[Fraction]:
-        n = self.n
         a, b = self.params.q.numerator, self.params.q.denominator
-        den = b**n
-        out = []
-        c = 1  # C(n, j), updated multiplicatively
-        for j in range(n + 1):
-            out.append(Fraction(c * (b - a) ** j * a ** (n - j), den))
-            c = c * (n - j) // (j + 1)
-        return out
+        den = b**self.n
+        # folding mod n + 1 keeps every j apart (and always takes the walk)
+        return [Fraction(w, den) for w in _residue_law(a, b, self.n, self.n + 1)]
+
+
+def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
+    """Numerators N_r with P(S_n = r mod `mod`) = N_r / b**n, q = a/b.
+
+    The law is (a + (b-a)x)**n in Z[x]/(x**mod - 1). When mod**3 <= n it
+    is computed by binary powering: O(mod**2 log n) products of integers
+    with O(n) bits. Otherwise it is one walk over the n + 1 exact terms
+    C(n,j) (b-a)**j a**(n-j), each derived from the last by one small
+    multiplication and one exact small division, folded mod `mod`. The
+    route depends only on n and mod; both give the same integers. The
+    list has `mod` entries, so callers keep mod <= n + 1 where it may be
+    larger.
+    """
+    c = b - a
+    if mod**3 <= n:
+        law = [1] + [0] * (mod - 1)
+        for bit in bin(n)[2:]:
+            square = [0] * mod
+            for i, u in enumerate(law):
+                if u:
+                    square[2 * i % mod] += u * u
+                    u2 = u << 1
+                    for j in range(i + 1, mod):
+                        square[(i + j) % mod] += u2 * law[j]
+            law = square
+            if bit == "1":
+                law = [a * law[i] + c * law[i - 1] for i in range(mod)]
+        return law
+    law = [0] * mod
+    if a == 0:  # every trial gives 1: point mass at j = n
+        law[n % mod] = c**n
+        return law
+    term = a**n
+    for j in range(n + 1):
+        law[j % mod] += term
+        term = term * ((n - j) * c) // ((j + 1) * a)
+    return law
+
+
+def _residue_probability(params: BernoulliParams, n: int, mod: int, residues) -> Fraction:
+    """P(S_n mod `mod` lies in `residues`), from one residue law. Residues
+    above n carry no mass, so the law is never wider than n + 1."""
+    a, b = params.q.numerator, params.q.denominator
+    law = _residue_law(a, b, n, min(mod, n + 1))
+    wanted = {r % mod for r in residues}
+    return Fraction(sum(law[r] for r in wanted if r < len(law)), b**n)
 
 
 def ball_probability(params: BernoulliParams, n: int, depth: int, center: int) -> Fraction:
-    """P(S_n in the ball of radius p**-depth around center): the exact
-    sum of weights over j congruent to center mod p**depth."""
+    """P(S_n in the ball of radius p**-depth around center): one entry of
+    the residue law mod p**depth. That law comes from binary powering
+    when p**(3 depth) <= n and from one walk over the terms otherwise."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    p = params.prime
-    mod = p**depth
-    r = center % mod
-    a, b = params.q.numerator, params.q.denominator
-    if a == 0:  # all trials give 1: point mass at j = n
-        return Fraction(1 if n % mod == r else 0)
-    if a == b:  # all trials give 0: point mass at j = 0
-        return Fraction(1 if r == 0 else 0)
-    c = 1
-    pow_a = a**n
-    pow_ba = 1
-    acc = 0
-    for j in range(n + 1):
-        if j % mod == r:
-            acc += c * pow_ba * pow_a
-        c = c * (n - j) // (j + 1)
-        pow_a //= a
-        pow_ba *= b - a
-    return Fraction(acc, b**n)
+    return _residue_probability(params, n, params.prime**depth, [center])
 
 
 def sphere_probability(params: BernoulliParams, n: int, depth: int, center: int) -> Fraction:
-    """P(v_p(S_n - center) == depth exactly): ball minus its child ball."""
-    return ball_probability(params, n, depth, center) - ball_probability(
-        params, n, depth + 1, center
-    )
+    """P(v_p(S_n - center) == depth exactly): the depth-ball minus its
+    child ball, i.e. the p - 1 other lifts of center mod p**(depth+1),
+    read off one residue law."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    p = params.prime
+    small = p**depth
+    return _residue_probability(params, n, small * p, [center + i * small for i in range(1, p)])
 
 
 def binomial_limit_weights(m: int) -> dict[int, Fraction]:
@@ -389,43 +418,22 @@ def divisibility_balance_traces(
     prime, *, kmax: int = 5, t: int = 1, threshold: int = 4
 ) -> tuple[ConvergenceTrace, ConvergenceTrace]:
     """Along N_k = 1 + t*p**k, both P(p divides S) and its complement
-    converge to 1/2. The complement is computed independently as the sum
-    over the nonzero residues, then checked against 1 - P exactly."""
+    converge to 1/2. Both are read off one residue law mod p per N_k:
+    the complement is the sum over the nonzero residues."""
     p = Prime(prime)
     selector = SequenceSelector(p, "affine", target=Fraction(1), t=t)
-    params = symmetric_params(p)
     terms = selector.terms(kmax)
-    half = Fraction(1, 2)
-
-    def complement(n):
-        out = sum(
-            (ball_probability(params, n, 1, c) for c in range(1, p)), Fraction(0)
-        )
-        direct = 1 - ball_probability(params, n, 1, 0)
-        if out != direct:
-            raise AssertionError("residue decomposition broke additivity")
-        return out
-
+    laws = {n: _residue_law(1, 2, n, p) for n in terms}
     meta = {"prime": int(p), "selector": selector.describe(), "threshold": threshold}
-    divisible = _distance_trace(
-        "divisibility-balance",
-        p,
-        half,
-        terms,
-        lambda n: ball_probability(params, n, 1, 0),
-        threshold,
-        dict(meta, event="divisible"),
-    )
-    rest = _distance_trace(
-        "divisibility-balance",
-        p,
-        half,
-        terms,
-        complement,
-        threshold,
-        dict(meta, event="not-divisible"),
-    )
-    return divisible, rest
+
+    def trace(event, residues):
+        return _distance_trace(
+            "divisibility-balance", p, Fraction(1, 2), terms,
+            lambda n: Fraction(sum(laws[n][residues]), 2**n), threshold,
+            dict(meta, event=event),
+        )
+
+    return trace("divisible", slice(0, 1)), trace("not-divisible", slice(1, None))
 
 
 # -- Mahler coefficients and the law of large numbers ---------------------
@@ -456,34 +464,12 @@ def mahler_lambda(params: BernoulliParams, a, m: int):
 
 
 def empirical_mahler_row(params: BernoulliParams, n: int, mmax: int) -> list[Fraction]:
-    """E[C(S_n, m)] for m = 0..mmax in one pass over the distribution;
-    each entry is asserted against the closed form (1-q)**m C(n, m)."""
+    """E[C(S_n, m)] for m = 0..mmax by the closed form (1-q)**m C(n, m):
+    C(S_n, m) counts the m-subsets of trials that all give 1."""
     if mmax < 0:
         raise RangeError("mmax must be a natural")
-    a, b = params.q.numerator, params.q.denominator
-    ba = b - a
-    pow_a = [1] * (n + 1)
-    pow_ba = [1] * (n + 1)
-    for i in range(1, n + 1):
-        pow_a[i] = pow_a[i - 1] * a
-        pow_ba[i] = pow_ba[i - 1] * ba
-    acc = [0] * (mmax + 1)
-    c = 1  # C(n, j)
-    for j in range(n + 1):
-        w_num = c * pow_ba[j] * pow_a[n - j]
-        if w_num:
-            cm = 1  # C(j, m)
-            for m in range(min(j, mmax) + 1):
-                acc[m] += cm * w_num
-                cm = cm * (j - m) // (m + 1)
-        c = c * (n - j) // (j + 1)
-    den = b**n
-    out = [Fraction(x, den) for x in acc]
-    for m, got in enumerate(out):
-        assert got == params.q_prime**m * comb(n, m), (
-            f"Mahler moment identity failed at m={m}, n={n}"
-        )
-    return out
+    qp = params.q_prime
+    return [qp**m * comb(n, m) for m in range(mmax + 1)]
 
 
 def empirical_mahler(params: BernoulliParams, n: int, m: int) -> Fraction:
@@ -621,15 +607,6 @@ def clt_mahler_bound_check(prime, count: int = 30) -> MahlerBoundReport:
 # -- sphere randomness test -------------------------------------------------
 
 
-def _binom_residue_counts(n: int, mod: int) -> list[int]:
-    out = [0] * mod
-    c = 1
-    for j in range(n + 1):
-        out[j % mod] += c
-        c = c * (n - j) // (j + 1)
-    return out
-
-
 def _hit_predicate(p: int, depth: int, center: int, mode: str):
     small = p**depth
     big = small * p
@@ -651,10 +628,8 @@ def _hit_predicate(p: int, depth: int, center: int, mode: str):
 def _event_probability(params, n, depth, center, mode) -> Fraction:
     if mode == "sphere":
         return sphere_probability(params, n, depth, center)
-    p = params.prime
-    return sum(
-        (ball_probability(params, n, depth, center + alpha) for alpha in range(1, p)),
-        Fraction(0),
+    return _residue_probability(
+        params, n, params.prime**depth, [center + alpha for alpha in range(1, params.prime)]
     )
 
 
@@ -773,33 +748,52 @@ def checkpoint_pattern_distribution(
     p = Prime(prime)
     mod = p ** (depth + 1)
     hit = _hit_predicate(p, depth, center, mode)
+    hits = [hit(res) for res in range(mod)]
+    terms = list(terms)
     states: dict[tuple[int, tuple[bool, ...]], int] = {(0, ()): 1}
     pos = 0
     for n in terms:
         if n <= pos:
             raise ValueError("checkpoints must be strictly increasing")
-        counts = _binom_residue_counts(n - pos, mod)
+        counts = _residue_law(1, 2, n - pos, mod)
         nxt: dict[tuple[int, tuple[bool, ...]], int] = defaultdict(int)
-        for (res, pat), val in states.items():
-            for c, cnt in enumerate(counts):
-                if cnt:
-                    nres = (res + c) % mod
-                    nxt[(nres, pat + (hit(nres),))] += val * cnt
+        if n == terms[-1]:
+            # after the last checkpoint only the pattern matters, so each
+            # residue needs just the mass of the increments that hit
+            hit_mass = [
+                sum(cnt for c, cnt in enumerate(counts) if hits[(res + c) % mod])
+                for res in range(mod)
+            ]
+            for (res, pat), val in states.items():
+                mass = val * hit_mass[res]
+                nxt[(0, pat + (True,))] += mass
+                nxt[(0, pat + (False,))] += (val << (n - pos)) - mass
+        else:
+            for (res, pat), val in states.items():
+                for c, cnt in enumerate(counts):
+                    if cnt:
+                        nres = (res + c) % mod
+                        nxt[(nres, pat + (hits[nres],))] += val * cnt
         states = nxt
         pos = n
-    den = 2**pos
-    out: dict[tuple[bool, ...], Fraction] = defaultdict(lambda: Fraction(0))
+    numerators: dict[tuple[bool, ...], int] = defaultdict(int)
     for (_, pat), val in states.items():
-        out[pat] += Fraction(val, den)
-    return dict(out)
+        numerators[pat] += val
+    den = 2**pos
+    return {pat: Fraction(val, den) for pat, val in numerators.items() if val}
 
 
 def hit_union_probability(
     prime, depth: int, center: int, terms, from_index: int = 0, mode: str = "sphere"
 ) -> Fraction:
     """P(some checkpoint at position >= from_index hits), exactly, by
-    disjointification of the joint hit law."""
+    disjointification of the joint hit law, summed as integers over the
+    common power-of-two denominator."""
     dist = checkpoint_pattern_distribution(prime, depth, center, terms, mode)
-    return sum(
-        (prob for pat, prob in dist.items() if any(pat[from_index:])), Fraction(0)
+    den = max(prob.denominator for prob in dist.values())
+    hits = sum(
+        prob.numerator * (den // prob.denominator)
+        for pat, prob in dist.items()
+        if any(pat[from_index:])
     )
+    return Fraction(hits, den)

@@ -1,11 +1,16 @@
 """End-to-end command line tests driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import padicprob
 from padicprob.cli import EXIT_CODES, main
-from padicprob.padic import to_approx
+from padicprob.limits import binomial_ball_trace
+from padicprob.padic import DEFAULT_PRECISION, to_approx
 
 
 def run(capsys, argv):
@@ -46,6 +51,19 @@ class TestValuation:
         rc, out, _ = run(capsys, ["valuation", "12", "--prime", "3", "--format", "json"])
         assert rc == 0
         assert json.loads(out)["expansion"] == str(to_approx(12, 3, 4))
+
+    def test_precision_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("PADICPROB_PRECISION", raising=False)
+        rc, out, _ = run(capsys, ["valuation", "12", "--prime", "3", "--format", "json"])
+        assert rc == 0
+        assert json.loads(out)["expansion"] == str(to_approx(12, 3, DEFAULT_PRECISION))
+
+    def test_precision_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADICPROB_PRECISION", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["valuation", "12", "--prime", "3"])
+        assert exc.value.code == EXIT_CODES["parse"]
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_rational(self, capsys):
         rc, _, err = run(capsys, ["valuation", "twelve", "--prime", "3"])
@@ -92,6 +110,26 @@ class TestTraceCommands:
         )
         assert rc == EXIT_CODES["hypothesis"]
         assert "error:" in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text digit limit"
+    )
+    def test_report_beyond_int_text_limit(self, capsys):
+        # the kmax-9 row has integers of more than 4300 decimal digits
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            rc, out, _ = run(
+                capsys, ["thm31", "--prime", "3", "--m", "2", "--r", "1", "--l", "1", "--kmax", "9"]
+            )
+            assert sys.get_int_max_str_digits() == 5000
+            sys.set_int_max_str_digits(0)
+            expected = list(binomial_ball_trace(3, 2, 1, 1, kmax=9).csv_lines())
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert rc == 0
+        assert out.splitlines() == expected
+        assert len(expected[-1].split(",")[3]) > 5000  # the last denominator
 
     def test_divisibility_balance(self, capsys):
         rc, out, err = run(capsys, ["eq5", "--prime", "3"])
@@ -306,6 +344,25 @@ class TestPlumbing:
             _, out1, _ = run(capsys, argv)
             _, out2, _ = run(capsys, argv)
             assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eq5", "--prime", "3", "--kmax", "5"],
+            ["lln", "--prime", "3", "--scheme", "2+p^k", "--kmax", "5"],
+        ],
+    )
+    def test_same_bytes_under_optimize(self, argv):
+        # python -O strips assert statements; no output may depend on them
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(padicprob.__file__)))
+        outs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "padicprob.cli", *argv],
+                env=env, capture_output=True, check=True,
+            ).stdout
+            for flags in ([], ["-O"])
+        ]
+        assert outs[0] == outs[1] != b""
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

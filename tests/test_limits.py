@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicprob.errors import (
     DomainError,
@@ -24,6 +26,7 @@ from padicprob.limits import (
     VERDICT_INCONCLUSIVE,
     BernoulliParams,
     SumDistribution,
+    _residue_law,
     ball_probability,
     binom,
     binom_vp,
@@ -132,6 +135,55 @@ class TestSumDistribution:
             SumDistribution(-1, SYM3)
 
 
+def _direct_law(a, b, n, mod):
+    """The residue law numerators straight from C(n, j), no recurrence."""
+    law = [0] * mod
+    for j in range(n + 1):
+        law[j % mod] += comb(n, j) * (b - a) ** j * a ** (n - j)
+    return law
+
+
+@st.composite
+def _law_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    b = draw(st.integers(1, 12).filter(lambda b: b % p))
+    q = Fraction(draw(st.integers(-b, 2 * b)), b)  # p-integral, 0 and 1 included
+    n = draw(st.integers(0, 200))
+    mod = p ** draw(st.integers(0, 3))
+    return p, q, n, mod
+
+
+class TestResidueLaw:
+    @settings(max_examples=150, deadline=None)
+    @given(_law_cases())
+    def test_folds_the_sum_distribution(self, case):
+        p, q, n, mod = case
+        a, b = q.numerator, q.denominator
+        law = _residue_law(a, b, n, mod)
+        folded = [0] * mod
+        for j, w in enumerate(SumDistribution(n, BernoulliParams(p, q)).weights()):
+            folded[j % mod] += w * b**n
+        assert law == folded
+        assert sum(law) == b**n
+
+    # the route is binary powering when mod**3 <= n and the walk otherwise;
+    # each pair sits on both sides of that rule
+    @pytest.mark.parametrize(
+        "a, b, n, mod",
+        [
+            (1, 2, 27, 3), (1, 2, 26, 3),
+            (1, 3, 125, 5), (1, 3, 124, 5),
+            (2, 5, 343, 7), (2, 5, 342, 7),
+            (-1, 2, 64, 4), (3, 2, 63, 4),
+            (0, 1, 729, 9), (0, 1, 728, 9),
+            (1, 1, 729, 9), (1, 1, 728, 9),
+            (1, 2, 1000, 1), (1, 2, 0, 1),
+        ],
+    )
+    def test_both_routes_match_binomials(self, a, b, n, mod):
+        assert _residue_law(a, b, n, mod) == _direct_law(a, b, n, mod)
+
+
 class TestBallProbability:
     # independent route: enumerate every bit string outright
     def test_against_exhaustive_enumeration(self):
@@ -181,6 +233,13 @@ class TestBallProbability:
     def test_depth_check(self):
         with pytest.raises(ValueError):
             ball_probability(SYM3, 4, -1, 0)
+
+    # a ball far narrower than the spread of S holds at most one atom
+    def test_balls_deeper_than_n(self):
+        assert ball_probability(SYM3, 10, 40, 3) == Fraction(comb(10, 3), 2**10)
+        assert ball_probability(SYM3, 10, 40, 11) == 0
+        assert sphere_probability(SYM3, 10, 40, 3) == 0
+        assert sphere_probability(SYM3, 10, 39, 3 - 2 * 3**39) == Fraction(comb(10, 3), 2**10)
 
 
 class TestLimitWeights:
@@ -300,6 +359,15 @@ class TestDivisibilityBalance:
         for a, b in zip(divisible.rows, rest.rows):
             assert a.value + b.value == 1
 
+    def test_complement_is_the_nonzero_residue_sum(self):
+        for p in (3, 5, 7):
+            divisible, rest = divisibility_balance_traces(p, kmax=4)
+            for a, b in zip(divisible.rows, rest.rows):
+                n = a.n
+                others = sum(comb(n, j) for j in range(n + 1) if j % p)
+                assert b.value == 1 - a.value == 1 - ball_probability(symmetric_params(p), n, 1, 0)
+                assert b.value == Fraction(others, 2**n)
+
 
 class TestCharfun:
     def test_single_trial(self):
@@ -368,6 +436,18 @@ class TestEmpiricalMahler:
             Fraction(15, 4),
             Fraction(5, 2),
         ]
+
+    # the closed form against a brute pass over the sum distribution
+    def test_closed_form_against_distribution(self):
+        for q in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
+            params = BernoulliParams(7, q)
+            for n in range(61):
+                weights = SumDistribution(n, params).weights()
+                brute = [
+                    sum(comb(j, m) * w for j, w in enumerate(weights))
+                    for m in range(8)
+                ]
+                assert empirical_mahler_row(params, n, 7) == brute
 
     def test_asymmetric(self):
         params = BernoulliParams(3, Fraction(2, 5))
