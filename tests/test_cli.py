@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -375,3 +376,109 @@ class TestPlumbing:
             main(["entropy"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# Every subcommand in both formats, with its guard exits: the exit code and
+# the SHA-256 of stdout, recorded before the report writers were merged.
+GOLDEN = [
+    ("valuation 12 --prime 3", "csv", 0, "3ef99c0cf1a061f21bac9a397ffb06282bdd94a1a791dadc51651459f4b90b41"),
+    ("valuation 12 --prime 3", "json", 0, "3f57de177e78d1fa0d304905bdbd115512419a51af58c3744b1acf2c4f7bdb03"),
+    ("valuation 5/16 --prime 2", "csv", 0, "f0bd24cff42ed899124055a6aba64535150654950a349881f411f0b1da13a699"),
+    ("valuation 5/16 --prime 2", "json", 0, "bedfe31f426874decf02d2a4619097e2008d5597efa2105a0640d1f8f223e95c"),
+    ("valuation 0 --prime 3", "csv", 0, "b2eddc8d9c11aa3ea4eb9ee6847b7777e9448e2062b952086ee52acdef69c154"),
+    ("valuation 0 --prime 3", "json", 0, "4c0ed5226988173e9bd7d384fdccbedd214f8280bb607d18f7b618705da58fe0"),
+    ("valuation 12 --prime 9", "csv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("valuation 12 --prime 9", "json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme 1+p^k --kmax 6", "csv", 0, "ff02978a6900dbb7a7b02fa0fe19eb20649b4154f7420705c43eceebf2256ce3"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme 1+p^k --kmax 6", "json", 0, "2cafebcd9c918aa32c54c76256b6f37c0190a9231e5754612e82c4a463e303f5"),
+    ("freq --periodic 0120 --labels 1 --given 12 --prime 3 --scheme 1+p^k --kmax 5", "csv", 0, "f6f893a7efa9f954b4bb4d34c931257ac2ddc75f4204c0a7dfb3583310ba2f31"),
+    ("freq --periodic 0120 --labels 1 --given 12 --prime 3 --scheme 1+p^k --kmax 5", "json", 0, "8b4d88246c463dfd101c1cb6a709e7f26b5e5b3c287221a99b760ae32527bfb9"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme 1+p^k --kmax 6 --topology real", "csv", 0, "e7137c535625441ac009a9cf2cfc0300cb0ddee553e933aa80449b4cc6381713"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme 1+p^k --kmax 6 --topology real", "json", 0, "6ce72d7db4c5c3bb7dad98b15fcb379e3bfa4e668edd69cd6faaaba2cd7f5b4d"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme 1+p^k --kmax 6 --topology real --threshold 0", "csv", 0, "e7137c535625441ac009a9cf2cfc0300cb0ddee553e933aa80449b4cc6381713"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme 1+p^k --kmax 6 --topology real --threshold 0", "json", 0, "c6fd5eebba2261a1b781073419a289f803a36a20a3aaf71cbc276a35d0730370"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme trunc(-1) --kmax 6", "csv", 0, "14af4669b8fcf069b8d3e16d7aa4caaecba45606cdc5a962d8aa26010dfd135b"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme trunc(-1) --kmax 6", "json", 0, "feff75b3e670c0ea961b386964e3e381dd31e6e6db5ba851c63dbf47c0eabe4e"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme trunc(-1) --kmax 8 --threshold 2", "csv", 0, "c4307aefdba5c924bb0e4a0e136e9009a7e0030cf72e336ba74bade974bbe1c1"),
+    ("freq --periodic 011 --labels 1 --prime 3 --scheme trunc(-1) --kmax 8 --threshold 2", "json", 0, "022e6c1ba6cf0ae66931458e64c232089746553ea0516988e86ed743ce47fcc4"),
+    ("freq --random-bits 7 --labels 1 --prime 3 --scheme 1+p^k --kmax 6", "csv", 0, "b5ee02593e256880999f004923c7430046e8a777f116d8a4c2d2a0ed4ea1404a"),
+    ("freq --random-bits 7 --labels 1 --prime 3 --scheme 1+p^k --kmax 6", "json", 0, "9f816120f6c376f087e8b4f67d3e46ab02b9a793f67782756aaf76d389ea98be"),
+    ("freq --periodic 0 --labels 1 --prime 3 --scheme 1+p^k --kmax 5", "csv", 0, "533ded7dc5b29fb9166e23d2cf6f46ee803e2ebab073488c7d373c9cf3b0d7a8"),
+    ("freq --periodic 0 --labels 1 --prime 3 --scheme 1+p^k --kmax 5", "json", 0, "160a9ef336320bb152fb88b926d5605f646304f2b252057fd75c6b783147eca1"),
+    ("freq --periodic 01 --labels 1 --prime 3 --scheme 18+p^k --kmax 2 --window 1 --threshold -5", "csv", 0, "0099c9913c21a8701314c6ba7f1d6f70c4421b8642c2c26433c1bf26287e764d"),
+    ("freq --periodic 01 --labels 1 --prime 3 --scheme 18+p^k --kmax 2 --window 1 --threshold -5", "json", 0, "daeb413d3ac08a618b287e95fdb95313ff12e1b335da36465474a981caa04467"),
+    ("freq --periodic 01 --labels 2 --prime 3 --scheme 1+p^k --kmax 3", "csv", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 01 --labels 2 --prime 3 --scheme 1+p^k --kmax 3", "json", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 01 --labels 1 --given 2 --prime 3 --scheme 1+p^k --kmax 3", "csv", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 01 --labels 1 --given 2 --prime 3 --scheme 1+p^k --kmax 3", "json", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 01 --labels 2 --prime 3 --scheme 1+p^k", "csv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 01 --labels 2 --prime 3 --scheme 1+p^k", "json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 01 --labels 1 --given 1 --prime 3 --scheme list:1,2,3,4", "csv", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("freq --periodic 01 --labels 1 --given 1 --prime 3 --scheme list:1,2,3,4", "json", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("thm31 --prime 3 --m 2 --r 1 --l 1", "csv", 0, "64267da11c4e04194834730661625fab7c6845d2f8248351cb8a7fd64ebcdba2"),
+    ("thm31 --prime 3 --m 2 --r 1 --l 1", "json", 0, "01919e65130841f5bc4978d426b5943283f46569958ac01368c3a776c6fe856b"),
+    ("thm31 --prime 5 --m 3 --r 2 --l 1 --kmax 4 --scheme 3+2*p^k", "csv", 0, "6c4cbec1760ed5356482de217f596b5391ff85f5ac2877ddc95bfdc48014f2fe"),
+    ("thm31 --prime 5 --m 3 --r 2 --l 1 --kmax 4 --scheme 3+2*p^k", "json", 0, "fbfe62fb12dea8d70eed6028b0bb610092ea77ac887802defda449a45b4a423a"),
+    ("thm31 --prime 3 --m 2 --r 1 --l 0", "csv", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("thm31 --prime 3 --m 2 --r 1 --l 0", "json", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("thm31 --prime 3 --m 2 --r 3 --l 1", "csv", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("thm31 --prime 3 --m 2 --r 3 --l 1", "json", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("eq5 --prime 3", "csv", 0, "30cac95c8b501ec31a90f53ceb59b21a6642c55dc8a910cdc21142f624e2a2ef"),
+    ("eq5 --prime 3", "json", 0, "75b4c5a941ea61f587e7c70eda23470344a558402cdf814f2c616d6781fd3dfe"),
+    ("eq5 --prime 5 --kmax 3 --t 2", "csv", 0, "f63c1154ae475a84150178ce310e3fc065eae2764d34eee4b50a0f3bcd5e19e6"),
+    ("eq5 --prime 5 --kmax 3 --t 2", "json", 0, "1608d69648db944704f191c2a6429d505f3f75953ac8b10cd7ed99274c9724ab"),
+    ("thm32 --prime 3 --r 1 --l 1 --kmax 5", "csv", 0, "9cc32568654814cd5d0c9f26a33ecc95e49d058ec6c26107b3252a1c01feeac4"),
+    ("thm32 --prime 3 --r 1 --l 1 --kmax 5", "json", 0, "4a3322b613e5b9e31e5fc4c8eaf6338d1886a00cb5dba38ee3bdcffe0773d681"),
+    ("thm32 --prime 3 --r 0 --l 2 --kmax 5", "csv", 0, "55b76fad010b25839e0f11c2086fae5548c9e2e33970d16a7efba49ec406ddc8"),
+    ("thm32 --prime 3 --r 0 --l 2 --kmax 5", "json", 0, "79081aed2da17a405cb52cdfd1bff9cc3b452953d7a64992b5972ddc9ad92c51"),
+    ("thm32 --prime 5 --r 5 --l 2 --kmax 3", "csv", 0, "f70f7fb04067260c4304562d0b56269538e2615115fbfa481176c6b5e8695bd8"),
+    ("thm32 --prime 5 --r 5 --l 2 --kmax 3", "json", 0, "9d2007aeb3f14bcb5ee4c202f5329bcb5eb57309e2d6a0e120afd27dbacc6d5e"),
+    ("thm32 --prime 3 --r 0 --l 1", "csv", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("thm32 --prime 3 --r 0 --l 1", "json", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("thm32 --prime 3 --r 4 --l 2", "csv", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("thm32 --prime 3 --r 4 --l 2", "json", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("lln --prime 3 --scheme trunc(-1) --mmax 2 --kmax 4", "csv", 0, "94c892d7c105a2d057dbf8945124b9141bad94caea95ac57264619f3e580e63d"),
+    ("lln --prime 3 --scheme trunc(-1) --mmax 2 --kmax 4", "json", 0, "1d6438e6f286b8c4d5d1382deb00c9c55afec3b7dc8c9a81c04764b6793cd035"),
+    ("lln --prime 5 --q 1/3 --scheme 2+p^k --mmax 3 --kmax 5", "csv", 0, "a6f8bc08ba2dd4c356e5eaf2c4392577abee8c5d58c8f2236a151b689eb06db1"),
+    ("lln --prime 5 --q 1/3 --scheme 2+p^k --mmax 3 --kmax 5", "json", 0, "dda70d206c00fe4f054d765ed411cd6eba68bf2481f7c0c5dc6dc0f90dcbdf34"),
+    ("clt", "csv", 0, "37222816fd684c79e3cb1aea1a987c97fc76ee7a3fb43b2e86918860e3f79d3f"),
+    ("clt", "json", 0, "b18624561e4275f08ab8bcd6713f4c33a32e44f9b5f236c6e53ec5d5d51a9d31"),
+    ("clt --a 1/2 --prime 3 --order 6", "csv", 0, "5c5486801536cfe0ac94d9f205642695b04d77c52559a0b9d56f0add0267af54"),
+    ("clt --a 1/2 --prime 3 --order 6", "json", 0, "f8d31e3fd9b0b192de92d7af3f1686a810c29dde39d62fed7dbecfb6d8012b2b"),
+    ("clt --a 1/3 --prime 3", "csv", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("clt --a 1/3 --prime 3", "json", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mahler --prime 3 --mmax 3 --n 4", "csv", 0, "b6520fc0f4b9d582758e1e3f372aafdd9d4204131c24578b10b5e55df9dd8bc2"),
+    ("mahler --prime 3 --mmax 3 --n 4", "json", 0, "2ce4cec5a88f4495592e8e8d833d2e00728a0f5836ad90d30fc2f800ca3dfde4"),
+    ("mahler --prime 5 --q 1/3 --a 7 --mmax 4", "csv", 0, "8eaaf6a367faf5806d55455d71edf0dff6883b7a13d1a6674f9031eb270ecf08"),
+    ("mahler --prime 5 --q 1/3 --a 7 --mmax 4", "json", 0, "18008604f727b7de28f5d79113104fb913bafee07f01e849bf624e9eeeacd1a3"),
+    ("mahler --prime 3 --clt-check --count 6", "csv", 0, "61bb26465d6be10fb70d5d3ca8ece88fb5f7bfb1417b148132cdb7119491d6f5"),
+    ("mahler --prime 3 --clt-check --count 6", "json", 0, "5e0d217836e3859a1ec5cecb4b97d84d0c7dfb26347268217a97f5fd1f04fe4d"),
+    ("mahler --prime 3 --clt-check --a 2 --count 8", "csv", 0, "50955ba5955dd3db5b8591d6ebce5268f0e48f9b50f4b22d75d838d7c20791f4"),
+    ("mahler --prime 3 --clt-check --a 2 --count 8", "json", 0, "79578d3f37943358b7b2656f3a12a1ee9b7f9cfa7a85a858a00fd58bc5208e1f"),
+    ("mahler --prime 2 --clt-check", "csv", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mahler --prime 2 --clt-check", "json", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("integrate --q 2 --prime 3 --depth 6", "csv", 0, "83b20481191aca59de7685b3ff582a245b02f8e8737f479ed765d8c54bfb14b1"),
+    ("integrate --q 2 --prime 3 --depth 6", "json", 0, "4281c796359760030e421451b4838ce9d59e6ac69024fe6c42aa0c6cb4c4eb29"),
+    ("integrate --q 4 --prime 3", "csv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("integrate --q 4 --prime 3", "json", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("integrate --q 3 --prime 3", "csv", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("integrate --q 3 --prime 3", "json", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("test --adversarial --prime 3 --l 1 --r 0 --scheme 1+p^k --eps-exp 2 --kmax 6", "csv", 0, "4f742cac6b965927243c766357bdbc84d499f9edeb8663dd3d6e1b1d2aa6bee1"),
+    ("test --adversarial --prime 3 --l 1 --r 0 --scheme 1+p^k --eps-exp 2 --kmax 6", "json", 0, "5fa9692bba47b53406dffb0d57f45a796ed06ebdb9ae31ef1a9618323d1f46a1"),
+    ("test --adversarial --prime 3 --l 2 --r 1 --scheme 1+p^k --eps-exp 1 --kmax 6 --mode residue", "csv", 0, "bbc80afb639da2a16fce409289c9c1c8dc76cab395551eca746fc8142cf5d9ac"),
+    ("test --adversarial --prime 3 --l 2 --r 1 --scheme 1+p^k --eps-exp 1 --kmax 6 --mode residue", "json", 0, "b32392062809ed168282e1609eb4db40449f35d14f61ab74eb13d2f317cc4a76"),
+    ("test --random-bits 3 --prime 3 --l 1 --r 0 --scheme 1+p^k --eps-exp 2 --kmax 6 --kmin 2", "csv", 0, "e6d021fafac484d3dc15199c70e8c9bfb9458912a32b5143a03459a022a04fd4"),
+    ("test --random-bits 3 --prime 3 --l 1 --r 0 --scheme 1+p^k --eps-exp 2 --kmax 6 --kmin 2", "json", 0, "75d5e5116ac00b07f67461ca18145700db0ac83453faa8cafbb4ad660d7fa539"),
+    ("test --periodic 0 --prime 3 --l 1 --r 0 --scheme 1+p^k --eps-exp 10 --kmax 6", "csv", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("test --periodic 0 --prime 3 --l 1 --r 0 --scheme 1+p^k --eps-exp 10 --kmax 6", "json", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fmt,code,digest", GOLDEN, ids=[f"{a}|{f}" for a, f, _, _ in GOLDEN]
+)
+def test_golden_stdout(capsys, monkeypatch, argv, fmt, code, digest):
+    monkeypatch.delenv("PADICPROB_PRECISION", raising=False)
+    rc, out, _ = run(capsys, argv.split() + ["--format", fmt])
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
