@@ -32,7 +32,15 @@ from .errors import (
 )
 from .frequency import Collective, conditional_s_probability, parse_selector, s_probability
 from .padic import DEFAULT_PRECISION, PadicApprox, Prime, abs_p, as_fraction, to_approx, vp
-from .reports import format_exponent, format_rational, json_exponent
+from .reports import (
+    EXPONENT,
+    INT,
+    RATIONAL,
+    format_exponent,
+    format_rational,
+    json_exponent,
+    table_lines,
+)
 
 EXIT_CODES = {"ok": 0, "parse": 2, "hypothesis": 3, "data": 4, "domain": 5}
 
@@ -151,7 +159,7 @@ def _cmd_valuation(args):
 
 
 def _outcome_lines(outcome, fmt):
-    lines = list(outcome.trace.csv_lines() if fmt == "csv" else outcome.trace.jsonl_lines())
+    lines = outcome.trace.csv_lines() if fmt == "csv" else outcome.trace.jsonl_lines()
     if fmt == "json":
         lines.append(
             json.dumps(
@@ -240,10 +248,7 @@ def _cmd_clt(args):
     prime = args.prime if args.prime is not None else None
     series = limits.clt_series(a, args.order, prime)
     if args.format == "csv":
-        lines = ["k,coeff_num,coeff_den"]
-        lines += [
-            f"{k},{c.numerator},{c.denominator}" for k, c in enumerate(series.coeffs)
-        ]
+        lines = table_lines((("k", INT), ("coeff", RATIONAL)), enumerate(series.coeffs), "csv")
     else:
         lines = [
             json.dumps(
@@ -273,11 +278,9 @@ def _cmd_mahler(args):
             seq = limits.charfun_to_mahler(limits.clt_series(a, order, p), count)
             report = None
         if args.format == "csv":
-            lines = ["m,lambda_num,lambda_den,vp"]
-            lines += [
-                f"{m},{c.numerator},{c.denominator},{format_exponent(vp(c, p))}"
-                for m, c in enumerate(seq.coefficients)
-            ]
+            columns = (("m", INT), ("lambda", RATIONAL), ("vp", EXPONENT))
+            rows = [(m, c, vp(c, p)) for m, c in enumerate(seq.coefficients)]
+            lines = table_lines(columns, rows, "csv")
         else:
             payload = {
                 "a": format_rational(a),
@@ -300,26 +303,12 @@ def _cmd_mahler(args):
         return
     params = limits.BernoulliParams(p, Fraction(args.q))
     a = Fraction(args.a)
-    rows = []
-    for m in range(args.mmax + 1):
-        lam = limits.mahler_lambda(params, a, m)
-        row = {"m": m, "lambda": format_rational(lam)}
-        if args.n is not None:
-            row["empirical"] = format_rational(limits.empirical_mahler(params, args.n, m))
-        rows.append(row)
-    if args.format == "csv":
-        head = "m,lambda_num,lambda_den" + (",empirical_num,empirical_den" if args.n is not None else "")
-        lines = [head]
-        for r in rows:
-            lam = Fraction(r["lambda"])
-            line = f"{r['m']},{lam.numerator},{lam.denominator}"
-            if args.n is not None:
-                emp = Fraction(r["empirical"])
-                line += f",{emp.numerator},{emp.denominator}"
-            lines.append(line)
-    else:
-        lines = [json.dumps(r, sort_keys=True) for r in rows]
-    _emit(lines, args.output)
+    columns = [("m", INT), ("lambda", RATIONAL)]
+    rows = [(m, limits.mahler_lambda(params, a, m)) for m in range(args.mmax + 1)]
+    if args.n is not None:
+        columns.append(("empirical", RATIONAL))
+        rows = [(m, lam, limits.empirical_mahler(params, args.n, m)) for m, lam in rows]
+    _emit(table_lines(columns, rows, args.format), args.output)
     _say(f"mahler: q={format_rational(params.q)} a={format_rational(a)} mmax={args.mmax}")
 
 
@@ -327,15 +316,7 @@ def _cmd_integrate(args):
     p = Prime(args.prime)
     measure = UniformMeasure(args.q, p)
     result = integrate_continuous(measure, digit_weight_map(args.q, p), args.depth)
-    if args.format == "csv":
-        s = result.riemann_sum
-        lines = [
-            "depth,value_num,value_den,error_exponent",
-            f"{result.depth},{s.numerator},{s.denominator},{result.error_exponent}",
-        ]
-    else:
-        lines = [result.to_json()]
-    _emit(lines, args.output)
+    _emit(result.report_lines(args.format), args.output)
     _say(f"integrate: value={result.value!s} error_exponent={result.error_exponent}")
 
 
@@ -347,29 +328,8 @@ def _cmd_test(args):
         collective, p, args.l, args.r, selector, args.eps_exp, args.kmax,
         kmin=args.kmin, mode=args.mode,
     )
-    if args.format == "csv":
-        lines = ["k,N_k,S,hit,prob_num,prob_den,vp_prob"]
-        for row in result.rows:
-            lines.append(
-                f"{row.k},{row.n},{row.sum_value},{int(row.hit)},"
-                f"{row.event_prob.numerator},{row.event_prob.denominator},"
-                f"{format_exponent(row.prob_exponent)}"
-            )
-    else:
-        lines = [
-            json.dumps(
-                {
-                    "k": row.k,
-                    "N_k": row.n,
-                    "S": row.sum_value,
-                    "hit": row.hit,
-                    "prob": format_rational(row.event_prob),
-                    "vp_prob": json_exponent(row.prob_exponent),
-                },
-                sort_keys=True,
-            )
-            for row in result.rows
-        ]
+    lines = table_lines(limits.CHECKPOINT_COLUMNS, result.rows, args.format)
+    if args.format == "json":
         lines.append(
             json.dumps(
                 {

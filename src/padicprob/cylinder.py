@@ -19,13 +19,13 @@ bound delta(n) turning into an explicit error exponent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import AlphabetMismatch, DigitRange, DomainError, OscillationMissing
 from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction
+from .reports import INT, RATIONAL, table_lines
 
 Word = tuple[int, ...]
 
@@ -429,6 +429,9 @@ class ContinuousMap:
     name: str = "f"
 
 
+_INTEGRATION_COLUMNS = (("depth", INT), ("value", RATIONAL), ("error_exponent", INT))
+
+
 @dataclass
 class IntegrationResult:
     depth: int
@@ -436,17 +439,13 @@ class IntegrationResult:
     error_exponent: int
     value: PadicApprox
 
-    def to_json(self) -> str:
-        from .reports import format_rational
+    def report_lines(self, fmt: str) -> list[str]:
+        """The one-row report: a CSV header and row, or one JSON object."""
+        row = (self.depth, self.riemann_sum, self.error_exponent)
+        return table_lines(_INTEGRATION_COLUMNS, [row], fmt)
 
-        return json.dumps(
-            {
-                "depth": self.depth,
-                "value": format_rational(self.riemann_sum),
-                "error_exponent": self.error_exponent,
-            },
-            sort_keys=True,
-        )
+    def to_json(self) -> str:
+        return self.report_lines("json")[0]
 
 
 def integrate_continuous(

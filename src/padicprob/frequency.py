@@ -14,12 +14,12 @@ p-adic one (topology="real"); only the gap measure changes.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     ConditioningOnNull,
@@ -28,7 +28,7 @@ from .errors import (
     InvalidTarget,
 )
 from .padic import Ball, PadicApprox, Prime, as_fraction, vp
-from .reports import format_exponent, format_rational, json_exponent
+from .reports import EXPONENT, INT, RATIONAL, format_rational, table_lines
 
 LOGGER = logging.getLogger(__name__)
 
@@ -330,12 +330,14 @@ def range_ball(selector: SequenceSelector) -> Ball | None:
 # -- traces and limit detection -----------------------------------------
 
 
-@dataclass(frozen=True)
-class FreqRow:
+class FreqRow(NamedTuple):
     k: int
     n: int
     nu: Fraction
     gap_exponent: object = None  # int, math.inf, or None on the first row
+
+
+_FREQ_COLUMNS = (("k", INT), ("N_k", INT), ("nu", RATIONAL), ("vp_gap", EXPONENT))
 
 
 @dataclass
@@ -344,21 +346,10 @@ class FrequencyTrace:
     metric: str  # "padic:<p>" or "real"
 
     def csv_lines(self):
-        yield "k,N_k,nu_num,nu_den,vp_gap"
-        for r in self.rows:
-            yield f"{r.k},{r.n},{r.nu.numerator},{r.nu.denominator},{format_exponent(r.gap_exponent)}"
+        return table_lines(_FREQ_COLUMNS, self.rows, "csv")
 
     def jsonl_lines(self):
-        for r in self.rows:
-            yield json.dumps(
-                {
-                    "k": r.k,
-                    "N_k": r.n,
-                    "nu": format_rational(r.nu),
-                    "vp_gap": json_exponent(r.gap_exponent),
-                },
-                sort_keys=True,
-            )
+        return table_lines(_FREQ_COLUMNS, self.rows, "json")
 
 
 @dataclass
@@ -403,20 +394,52 @@ def _gap_exponent(gap: Fraction, prime, topology: str):
     return decimal_exponent(gap)
 
 
-def _frequency_rows(collective, labels, terms, prime, topology):
+def _window_terms(selector: SequenceSelector, kmax: int, window: int, topology: str):
+    """The selector's first kmax usable terms, enough for the Cauchy window."""
+    if topology not in ("padic", "real"):
+        raise ValueError(f"unknown topology {topology!r}")
+    terms = selector.terms(kmax)
+    if len(terms) < window + 1:
+        raise InsufficientData(
+            f"selector yields {len(terms)} usable terms; Cauchy window needs {window + 1}"
+        )
+    return terms
+
+
+def _cauchy_limit(
+    selector, terms, ratio, params, ball, window, cauchy_threshold, topology
+) -> LimitOutcome:
+    """Trace ratio(N_k) over the terms and judge it by the Cauchy window.
+
+    A Converged p-adic value is checked against the range ball, if one
+    is given; a violation is reported, not silenced."""
+    p = selector.prime
     rows = []
     prev = None
     for k, n in enumerate(terms, start=1):
-        nu = relative_frequency(collective, labels, n)
-        gap = None if prev is None else _gap_exponent(nu - prev, prime, topology)
+        nu = ratio(n)
+        gap = None if prev is None else _gap_exponent(nu - prev, p, topology)
         rows.append(FreqRow(k, n, nu, gap))
         prev = nu
-    return tuple(rows)
-
-
-def _detect(rows, window, threshold):
+    metric = f"padic:{p}" if topology == "padic" else "real"
+    trace = FrequencyTrace(tuple(rows), metric)
+    params = {
+        "selector": selector.describe(),
+        **params,
+        "window": window,
+        "cauchy_threshold": cauchy_threshold,
+        "topology": topology,
+    }
     gaps = [r.gap_exponent for r in rows[-window:]]
-    return all(g is not None and g >= threshold for g in gaps)
+    if not all(g is not None and g >= cauchy_threshold for g in gaps):
+        return LimitOutcome(VERDICT_NO_LIMIT, None, trace, params=params)
+    final = rows[-1].nu
+    if topology == "real":
+        return LimitOutcome(VERDICT_CONVERGED, final, trace, params=params)
+    if ball is not None and not ball.contains(final):
+        return LimitOutcome(VERDICT_RANGE, None, trace, params=params)
+    value = PadicApprox.from_rational_abs(final, p, cauchy_threshold)
+    return LimitOutcome(VERDICT_CONVERGED, value, trace, params=params)
 
 
 def s_probability(
@@ -437,34 +460,13 @@ def s_probability(
     absolute precision cauchy_threshold, and is checked against the
     selector's range ball; a violation is reported, not silenced.
     """
-    if topology not in ("padic", "real"):
-        raise ValueError(f"unknown topology {topology!r}")
-    terms = selector.terms(kmax)
-    if len(terms) < window + 1:
-        raise InsufficientData(
-            f"selector yields {len(terms)} usable terms; Cauchy window needs {window + 1}"
-        )
-    p = selector.prime
-    metric = f"padic:{p}" if topology == "padic" else "real"
-    rows = _frequency_rows(collective, labels, terms, p, topology)
-    trace = FrequencyTrace(rows, metric)
-    params = {
-        "selector": selector.describe(),
-        "labels": "".join(sorted(collective.labelset(labels))),
-        "window": window,
-        "cauchy_threshold": cauchy_threshold,
-        "topology": topology,
-    }
-    if not _detect(rows, window, cauchy_threshold):
-        return LimitOutcome(VERDICT_NO_LIMIT, None, trace, params=params)
-    final = rows[-1].nu
-    if topology == "real":
-        return LimitOutcome(VERDICT_CONVERGED, final, trace, params=params)
-    ball = range_ball(selector)
-    if ball is not None and not ball.contains(final):
-        return LimitOutcome(VERDICT_RANGE, None, trace, params=params)
-    value = PadicApprox.from_rational_abs(final, p, cauchy_threshold)
-    return LimitOutcome(VERDICT_CONVERGED, value, trace, params=params)
+    terms = _window_terms(selector, kmax, window, topology)
+    labels = collective.labelset(labels)
+    return _cauchy_limit(
+        selector, terms, lambda n: relative_frequency(collective, labels, n),
+        {"labels": "".join(sorted(labels))}, range_ball(selector),
+        window, cauchy_threshold, topology,
+    )
 
 
 def conditional_s_probability(
@@ -480,42 +482,18 @@ def conditional_s_probability(
 ) -> LimitOutcome:
     """Trace nu_{N_k}(A intersect B) / nu_{N_k}(A): the exact finite-N
     Bayes quotient. ConditioningOnNull if A never occurs in some prefix."""
-    if topology not in ("padic", "real"):
-        raise ValueError(f"unknown topology {topology!r}")
-    terms = selector.terms(kmax)
-    if len(terms) < window + 1:
-        raise InsufficientData(
-            f"selector yields {len(terms)} usable terms; Cauchy window needs {window + 1}"
-        )
+    terms = _window_terms(selector, kmax, window, topology)
     a = collective.labelset(labels_a)
     b = collective.labelset(labels_b)
     ab = a & b
-    p = selector.prime
-    rows = []
-    prev = None
-    for k, n in enumerate(terms, start=1):
+
+    def quotient(n):
         n_a = collective.count(a, n)
         if n_a == 0:
             raise ConditioningOnNull(f"conditioning event absent in the first {n} symbols")
-        q = Fraction(collective.count(ab, n), n_a)
-        gap = None if prev is None else _gap_exponent(q - prev, p, topology)
-        rows.append(FreqRow(k, n, q, gap))
-        prev = q
-    metric = f"padic:{p}" if topology == "padic" else "real"
-    trace = FrequencyTrace(tuple(rows), metric)
-    params = {
-        "selector": selector.describe(),
-        "labels_a": "".join(sorted(a)),
-        "labels_b": "".join(sorted(b)),
-        "window": window,
-        "cauchy_threshold": cauchy_threshold,
-        "topology": topology,
-        "conditional": True,
-    }
-    if not _detect(rows, window, cauchy_threshold):
-        return LimitOutcome(VERDICT_NO_LIMIT, None, trace, params=params)
-    final = rows[-1].nu
-    if topology == "real":
-        return LimitOutcome(VERDICT_CONVERGED, final, trace, params=params)
-    value = PadicApprox.from_rational_abs(final, p, cauchy_threshold)
-    return LimitOutcome(VERDICT_CONVERGED, value, trace, params=params)
+        return Fraction(collective.count(ab, n), n_a)
+
+    params = {"labels_a": "".join(sorted(a)), "labels_b": "".join(sorted(b)), "conditional": True}
+    return _cauchy_limit(
+        selector, terms, quotient, params, None, window, cauchy_threshold, topology
+    )

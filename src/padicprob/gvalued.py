@@ -79,10 +79,9 @@ class GroupContext:
         return f"{type(self).__name__}({self.tag!r})"
 
 
-class RationalRealContext(GroupContext):
-    """(Q, +) with rho(0, x) = |x|."""
+class _RationalContext(GroupContext):
+    """(Q, +) on exact Fractions, a ring; subclasses fix tag and rho."""
 
-    tag = "real"
     is_ring = True
 
     def coerce(self, x):
@@ -97,9 +96,6 @@ class RationalRealContext(GroupContext):
     @property
     def neutral(self):
         return Fraction(0)
-
-    def rho(self, x) -> Fraction:
-        return abs(as_fraction(x))
 
     def mul(self, x, y):
         return x * y
@@ -117,45 +113,24 @@ class RationalRealContext(GroupContext):
         return 1 / as_fraction(x)
 
 
-class RationalPadicContext(GroupContext):
-    """(Q, +) with rho(0, x) = |x|_p."""
+class RationalRealContext(_RationalContext):
+    """(Q, +) with rho(0, x) = |x|."""
 
-    is_ring = True
+    tag = "real"
+
+    def rho(self, x) -> Fraction:
+        return abs(as_fraction(x))
+
+
+class RationalPadicContext(_RationalContext):
+    """(Q, +) with rho(0, x) = |x|_p."""
 
     def __init__(self, prime):
         self.prime = Prime(prime)
         self.tag = f"padic:{self.prime}"
 
-    def coerce(self, x):
-        return as_fraction(x)
-
-    def add(self, x, y):
-        return x + y
-
-    def negate(self, x):
-        return -x
-
-    @property
-    def neutral(self):
-        return Fraction(0)
-
     def rho(self, x) -> Fraction:
         return abs_p(x, self.prime).as_fraction()
-
-    def mul(self, x, y):
-        return x * y
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def is_invertible(self, x) -> bool:
-        return x != 0
-
-    def inverse(self, x):
-        if x == 0:
-            raise NotInvertible("0 has no inverse")
-        return 1 / as_fraction(x)
 
 
 class ProductContext(GroupContext):

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -39,7 +40,7 @@ from .padic import (
     falling_binomial,
     vp,
 )
-from .reports import format_exponent, format_rational, json_exponent
+from .reports import EXPONENT, FLAG, INT, RATIONAL, format_rational, json_exponent, table_lines
 from .series import FormalSeries, cosh_scaled_sq, exp_series, log1p_series, one
 
 
@@ -235,12 +236,14 @@ VERDICT_CONVERGING = "Converging"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     k: int
     n: int
     value: Fraction
     distance_exponent: object  # v_p(value - target); math.inf when exact
+
+
+_TRACE_COLUMNS = (("k", INT), ("N_k", INT), ("value", RATIONAL), ("vp_to_limit", EXPONENT))
 
 
 @dataclass
@@ -256,24 +259,10 @@ class ConvergenceTrace:
         return self.rows[-1].distance_exponent
 
     def csv_lines(self):
-        yield "k,N_k,value_num,value_den,vp_to_limit"
-        for r in self.rows:
-            yield (
-                f"{r.k},{r.n},{r.value.numerator},{r.value.denominator},"
-                f"{format_exponent(r.distance_exponent)}"
-            )
+        return table_lines(_TRACE_COLUMNS, self.rows, "csv")
 
     def jsonl_lines(self):
-        for r in self.rows:
-            yield json.dumps(
-                {
-                    "k": r.k,
-                    "N_k": r.n,
-                    "value": format_rational(r.value),
-                    "vp_to_limit": json_exponent(r.distance_exponent),
-                },
-                sort_keys=True,
-            )
+        return table_lines(_TRACE_COLUMNS, self.rows, "json")
 
     def verdict_json(self) -> str:
         return json.dumps(
@@ -385,33 +374,10 @@ def prime_edge_trace(
 ) -> ConvergenceTrace:
     """The m = p edge of the ball limit: N_k -> p, limit C(p, r)/2**p
     for r = 0..p. The boundary atoms r = 0 and r = p need ball depth
-    >= 2; the interior atoms work at depth 1."""
-    p = Prime(prime)
-    if not 0 <= r <= p:
-        raise HypothesisViolation(f"center r={r} is not an atom of the limit (0..{p})")
-    need = 2 if r in (0, p) else 1
-    if depth < need:
-        raise HypothesisViolation(f"edge atom r={r} needs ball depth >= {need}, got {depth}")
-    selector = SequenceSelector(p, "affine", target=Fraction(int(p)), t=t)
-    params = symmetric_params(p)
-    target = Fraction(comb(p, r), 2 ** int(p))
-    meta = {
-        "prime": int(p),
-        "m": int(p),
-        "r": r,
-        "l": depth,
-        "selector": selector.describe(),
-        "threshold": threshold,
-    }
-    return _distance_trace(
-        "prime-edge-ball-limit",
-        p,
-        target,
-        selector.terms(kmax),
-        lambda n: ball_probability(params, n, depth, r),
-        threshold,
-        meta,
-    )
+    >= 2; the interior atoms work at depth 1 (see check_ball_window)."""
+    p = int(Prime(prime))
+    trace = binomial_ball_trace(p, p, r, depth, kmax=kmax, t=t, threshold=threshold)
+    return replace(trace, tag="prime-edge-ball-limit")
 
 
 def divisibility_balance_traces(
@@ -633,14 +599,18 @@ def _event_probability(params, n, depth, center, mode) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class CheckpointRow:
+class CheckpointRow(NamedTuple):
     k: int
     n: int
     sum_value: int
     hit: bool
     event_prob: Fraction
     prob_exponent: object  # v_p of the event probability
+
+
+CHECKPOINT_COLUMNS = (
+    ("k", INT), ("N_k", INT), ("S", INT), ("hit", FLAG), ("prob", RATIONAL), ("vp_prob", EXPONENT)
+)
 
 
 @dataclass
@@ -739,12 +709,11 @@ def sphere_randomness_test(
     )
 
 
-def checkpoint_pattern_distribution(
-    prime, depth: int, center: int, terms, mode: str = "sphere"
-) -> dict[tuple[bool, ...], Fraction]:
-    """Exact joint law of the hit indicators at the checkpoints, under
-    the symmetric null. The partial sums only matter modulo p**(depth+1),
-    so the chain over residues stays tiny whatever the checkpoint sizes."""
+def _pattern_numerators(prime, depth, center, terms, mode) -> tuple[dict, int]:
+    """Numerators of the joint hit law over 2**N, N the last checkpoint:
+    (pattern -> numerator, N). The partial sums only matter modulo
+    p**(depth+1), so the chain over residues stays tiny whatever the
+    checkpoint sizes."""
     p = Prime(prime)
     mod = p ** (depth + 1)
     hit = _hit_predicate(p, depth, center, mode)
@@ -779,7 +748,16 @@ def checkpoint_pattern_distribution(
     numerators: dict[tuple[bool, ...], int] = defaultdict(int)
     for (_, pat), val in states.items():
         numerators[pat] += val
-    den = 2**pos
+    return numerators, pos
+
+
+def checkpoint_pattern_distribution(
+    prime, depth: int, center: int, terms, mode: str = "sphere"
+) -> dict[tuple[bool, ...], Fraction]:
+    """Exact joint law of the hit indicators at the checkpoints, under
+    the symmetric null."""
+    numerators, n = _pattern_numerators(prime, depth, center, terms, mode)
+    den = 2**n
     return {pat: Fraction(val, den) for pat, val in numerators.items() if val}
 
 
@@ -789,11 +767,5 @@ def hit_union_probability(
     """P(some checkpoint at position >= from_index hits), exactly, by
     disjointification of the joint hit law, summed as integers over the
     common power-of-two denominator."""
-    dist = checkpoint_pattern_distribution(prime, depth, center, terms, mode)
-    den = max(prob.denominator for prob in dist.values())
-    hits = sum(
-        prob.numerator * (den // prob.denominator)
-        for pat, prob in dist.items()
-        if any(pat[from_index:])
-    )
-    return Fraction(hits, den)
+    numerators, n = _pattern_numerators(prime, depth, center, terms, mode)
+    return Fraction(sum(val for pat, val in numerators.items() if any(pat[from_index:])), 2**n)

@@ -365,6 +365,15 @@ class TestPlumbing:
         ]
         assert outs[0] == outs[1] != b""
 
+    @pytest.mark.parametrize(
+        "argv", [["valuation", "12", "--prime", "9"], ["integrate", "--q", "4", "--prime", "3"]]
+    )
+    def test_non_prime_modulus_is_argument_error(self, capsys, argv):
+        rc, out, err = run(capsys, argv)
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        assert "is not prime" in err
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["valuation", "12"])

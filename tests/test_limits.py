@@ -346,6 +346,26 @@ class TestPrimeEdgeTraces:
         with pytest.raises(HypothesisViolation):
             prime_edge_trace(3, 4, 2)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_guard_matches_edge_rule(self, p):
+        # r must be an atom 0..p; the boundary atoms need depth >= 2, the
+        # interior ones depth >= 1
+        for r in range(-1, p + 2):
+            for depth in range(4):
+                allowed = 0 <= r <= p and depth >= (2 if r in (0, p) else 1)
+                if not allowed:
+                    with pytest.raises(HypothesisViolation):
+                        prime_edge_trace(p, r, depth, kmax=2)
+                    continue
+                if p == 2:  # the guard passes; q = 1/2 is not a 2-adic integer
+                    with pytest.raises(DomainError):
+                        prime_edge_trace(p, r, depth, kmax=2)
+                    continue
+                t = prime_edge_trace(p, r, depth, kmax=2)
+                assert t.tag == "prime-edge-ball-limit"
+                assert t.rows == binomial_ball_trace(p, p, r, depth, kmax=2).rows
+                assert t.target == Fraction(comb(p, r), 2**p)
+
 
 class TestDivisibilityBalance:
     def test_both_routes_converge(self):
