@@ -44,8 +44,21 @@ from .reports import (
 
 EXIT_CODES = {"ok": 0, "parse": 2, "hypothesis": 3, "data": 4, "domain": 5}
 
+
+class _UnreadableInput(PadicProbError):
+    """The --input file cannot be opened or read."""
+
+
 #: errors that mean the request itself was malformed
-_PARSE_TYPES = (InvalidTarget, InvalidLabel, RangeError, DigitRange, ValueError, ZeroDivisionError)
+_PARSE_TYPES = (
+    InvalidTarget,
+    InvalidLabel,
+    RangeError,
+    DigitRange,
+    _UnreadableInput,
+    ValueError,
+    ZeroDivisionError,
+)
 
 
 def _default_digits() -> str:
@@ -97,7 +110,10 @@ def _value_repr(value):
 
 def _collective_from_args(args, allow_adversarial=False):
     if getattr(args, "input", None):
-        return Collective.from_file(args.input, getattr(args, "alphabet", "01"))
+        try:
+            return Collective.from_file(args.input, getattr(args, "alphabet", "01"))
+        except OSError as exc:
+            raise _UnreadableInput(f"cannot read {args.input}: {exc.strerror or exc}") from None
     if getattr(args, "periodic", None):
         return Collective.periodic(args.periodic)
     if getattr(args, "random_bits", None) is not None:

@@ -39,7 +39,13 @@ VERDICT_RANGE = "RangeViolation"
 #: every outcome carries this reminder
 CAUCHY_NOTE = "Cauchy-window heuristic on finite evidence; not a convergence proof"
 
-_WS = set(" \t\n\r\v\f")
+_WS = " \t\n\r\v\f"
+_STRIP_WS = str.maketrans("", "", _WS)
+
+#: random_bits draws this many bits per getrandbits call
+_BIT_BLOCK = 4096
+#: byte -> "0" or "1" by its top bit
+_TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
 
 
 class Collective:
@@ -48,7 +54,9 @@ class Collective:
     Sources: an in-memory string, a file of ASCII symbols (whitespace
     ignored), or a deterministic generator. Prefixes of any requested
     length are served exactly; a finite source that runs short raises
-    InsufficientData.
+    InsufficientData. The symbols read so far are held as one string,
+    and each label set keeps a running count, so counts at growing
+    sample sizes scan each symbol once.
     """
 
     def __init__(self, alphabet, symbols="", generator=None, description="collective"):
@@ -57,12 +65,18 @@ class Collective:
             raise ValueError("alphabet entries must be single characters")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet has repeated symbols")
-        self._buf = list(symbols)
-        self._gen = generator
-        self.description = description
-        bad = set(self._buf) - set(self.alphabet)
+        if isinstance(symbols, str):
+            # deleting the alphabet leaves only the stray symbols
+            bad = set(symbols.translate(str.maketrans("", "", "".join(self.alphabet))))
+        else:
+            symbols = list(symbols)
+            bad = set(symbols) - set(self.alphabet)
         if bad:
             raise InvalidLabel(f"symbols {sorted(bad)} outside alphabet {self.alphabet}")
+        self._buf = symbols if isinstance(symbols, str) else "".join(symbols)
+        self._gen = generator
+        self._counts = {}  # label set -> (n, occurrences among the first n symbols)
+        self.description = description
 
     # -- sources --------------------------------------------------------
 
@@ -81,12 +95,14 @@ class Collective:
             text = raw.decode("ascii")
         except UnicodeDecodeError as exc:
             raise InvalidLabel(f"non-ASCII byte in {path}: {exc}") from None
-        symbols = "".join(ch for ch in text if ch not in _WS)
-        bad = set(symbols) - set(alphabet)
-        if bad:
-            raise InvalidLabel(f"symbols {sorted(bad)} in {path} outside alphabet {tuple(alphabet)}")
-        c = cls(alphabet, symbols=symbols, description=f"file:{path}")
-        return c
+        symbols = text.translate(_STRIP_WS)
+        try:
+            return cls(alphabet, symbols=symbols, description=f"file:{path}")
+        except InvalidLabel:
+            bad = set(symbols) - set(alphabet)
+            raise InvalidLabel(
+                f"symbols {sorted(bad)} in {path} outside alphabet {tuple(alphabet)}"
+            ) from None
 
     @classmethod
     def periodic(cls, word, alphabet=None) -> "Collective":
@@ -110,11 +126,18 @@ class Collective:
 
         rng = random.Random(seed)
 
-        def bits():
+        def blocks():
+            # getrandbits(32*B) packs B successive 32-bit draws, least
+            # significant first; getrandbits(1) is the top bit of one draw
             while True:
-                yield "01"[rng.getrandbits(1)]
+                draws = rng.getrandbits(32 * _BIT_BLOCK).to_bytes(4 * _BIT_BLOCK, "little")
+                yield draws[3::4].translate(_TOP_BIT).decode("ascii")
 
-        return cls("01", generator=bits(), description=f"random:{seed}")
+        return cls(
+            "01",
+            generator=itertools.chain.from_iterable(blocks()),
+            description=f"random:{seed}",
+        )
 
     @classmethod
     def checkpoint_forcing(cls, prime, depth, center, terms, mode="sphere") -> "Collective":
@@ -123,23 +146,34 @@ class Collective:
 
     # -- access ----------------------------------------------------------
 
-    def prefix(self, n: int) -> str:
+    def _fill(self, n: int) -> None:
+        """Hold at least n symbols, or raise InsufficientData."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        while len(self._buf) < n and self._gen is not None:
-            try:
-                self._buf.append(next(self._gen))
-            except StopIteration:
+        need = n - len(self._buf)
+        if need > 0 and self._gen is not None:
+            more = "".join(itertools.islice(self._gen, need))
+            if len(more) < need:
                 self._gen = None
+            self._buf += more
         if len(self._buf) < n:
             raise InsufficientData(
                 f"{self.description} holds {len(self._buf)} symbols, {n} requested"
             )
-        return "".join(self._buf[:n])
+
+    def prefix(self, n: int) -> str:
+        self._fill(n)
+        return self._buf[:n]
 
     def count(self, labels, n: int) -> int:
         labels = self.labelset(labels)
-        return sum(1 for ch in self.prefix(n) if ch in labels)
+        self._fill(n)
+        start, seen = self._counts.get(labels, (0, 0))
+        if n < start:
+            start, seen = 0, 0
+        seen += sum(self._buf.count(ch, start, n) for ch in labels)
+        self._counts[labels] = (n, seen)
+        return seen
 
     def labelset(self, labels) -> frozenset:
         out = frozenset(labels)

@@ -374,6 +374,26 @@ class TestPlumbing:
         assert out == ""
         assert "is not prime" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--labels", "1", "--prime", "2", "--scheme", "p^k", "--kmax", "3"],
+            ["test", "--prime", "3", "--l", "1", "--r", "0", "--scheme", "1+p^k",
+             "--eps-exp", "2", "--kmax", "3"],
+        ],
+        ids=["freq", "test"],
+    )
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+    def test_unreadable_input_is_argument_error(self, capsys, tmp_path, argv, missing):
+        path = tmp_path / "absent.txt" if missing else tmp_path
+        rc, out, err = run(capsys, [argv[0], "--input", str(path), *argv[1:]])
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot read {path}: "
+                          + ("No such file or directory" if missing else "Is a directory")]
+        assert "Traceback" not in err
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["valuation", "12"])

@@ -1,8 +1,11 @@
 import logging
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicprob.errors import (
     ConditioningOnNull,
@@ -11,6 +14,7 @@ from padicprob.errors import (
     InvalidTarget,
 )
 from padicprob.frequency import (
+    _BIT_BLOCK,
     CAUCHY_NOTE,
     Collective,
     SequenceSelector,
@@ -71,6 +75,147 @@ class TestCollective:
         path.write_text("01x0")
         with pytest.raises(InvalidLabel):
             Collective.from_file(str(path), "01")
+
+    @pytest.mark.parametrize("ws", list(" \t\n\r\v\f"))
+    def test_from_file_drops_each_whitespace(self, tmp_path, ws):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(f"{ws}01{ws}{ws}1{ws}0{ws}".encode("ascii"))
+        c = Collective.from_file(str(path), "01")
+        assert c.prefix(4) == "0110"
+        assert c.count("1", 4) == 2
+
+    @pytest.mark.parametrize("sep", list("\x1c\x1d\x1e\x1f"))
+    def test_from_file_keeps_separator_controls(self, tmp_path, sep):
+        # str.split() would drop these; they are symbols outside the alphabet
+        path = tmp_path / "bits.txt"
+        path.write_bytes(f"01{sep}10".encode("ascii"))
+        with pytest.raises(InvalidLabel) as exc:
+            Collective.from_file(str(path), "01")
+        assert str(exc.value) == f"symbols [{sep!r}] in {path} outside alphabet ('0', '1')"
+
+    @pytest.mark.parametrize("raw", [b"01\xc2\xa010", b"0\x851", b"\xff"])
+    def test_from_file_rejects_non_ascii(self, tmp_path, raw):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidLabel) as exc:
+            Collective.from_file(str(path), "01")
+        decode_error = None
+        try:
+            raw.decode("ascii")
+        except UnicodeDecodeError as err:
+            decode_error = err
+        assert str(exc.value) == f"non-ASCII byte in {path}: {decode_error}"
+
+    def test_symbols_as_list(self):
+        c = Collective("01", symbols=["0", "1", "1"])
+        assert c.prefix(3) == "011"
+        assert c.count("1", 3) == 2
+        assert Collective("ab", symbols=iter("abba")).count("b", 4) == 2
+        with pytest.raises(InvalidLabel) as exc:
+            Collective("01", symbols=["0", "01", "x"])
+        assert str(exc.value) == "symbols ['01', 'x'] outside alphabet ('0', '1')"
+
+    def test_stray_symbol_message(self):
+        with pytest.raises(InvalidLabel) as exc:
+            Collective("01", symbols="0x1y")
+        assert str(exc.value) == "symbols ['x', 'y'] outside alphabet ('0', '1')"
+
+    def test_short_file_message(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("01\n01\n")
+        c = Collective.from_file(str(path), "01")
+        assert c.count("1", 4) == 2
+        for ask in (lambda: c.count("1", 5), lambda: c.prefix(5)):
+            with pytest.raises(InsufficientData) as exc:
+                ask()
+            assert str(exc.value) == f"file:{path} holds 4 symbols, 5 requested"
+        assert c.count("1", 3) == 1
+
+    def test_short_generator_message(self):
+        c = Collective("01", generator=iter("0110"), description="four")
+        with pytest.raises(InsufficientData) as exc:
+            c.count("1", 6)
+        assert str(exc.value) == "four holds 4 symbols, 6 requested"
+        assert c.prefix(4) == "0110"
+
+
+def _reference_symbols(kind, word, seed, size):
+    """The first `size` symbols of a source, computed without Collective."""
+    if kind == "random":
+        r = random.Random(seed)
+        return "".join("01"[r.getrandbits(1)] for _ in range(size))
+    if kind == "periodic":
+        return (word * (size // len(word) + 1))[:size]
+    return word
+
+
+@st.composite
+def _count_sessions(draw):
+    """A source, its reference symbols, and interleaved (labels, n)
+    calls whose n rises, falls, repeats and hits 0."""
+    kind = draw(st.sampled_from(["memory", "file", "periodic", "random"]))
+    alphabet = "01" if kind == "random" else draw(st.sampled_from(["01", "abc"]))
+    word = draw(st.text(alphabet, min_size=1, max_size=12 if kind == "periodic" else 300))
+    seed = draw(st.integers(0, 2**40))
+    if kind == "random":
+        size = draw(st.sampled_from([40, _BIT_BLOCK + 3, 3 * _BIT_BLOCK + 5]))
+    else:
+        size = 400 if kind == "periodic" else len(word)
+    label_sets = draw(
+        st.lists(st.sets(st.sampled_from(alphabet)).map("".join), min_size=1, max_size=3)
+    )
+    # a finite source is also asked for up to two symbols too many
+    top = size + 2 if kind in ("memory", "file") else size
+    calls = []
+    for move in draw(st.lists(st.integers(-2, top), min_size=1, max_size=25)):
+        if move == -2:  # repeat the last size
+            n = calls[-1][1] if calls else 0
+        elif move == -1:
+            n = 0
+        else:
+            n = move
+        calls.append((draw(st.sampled_from(label_sets)), n))
+    return kind, alphabet, word, seed, _reference_symbols(kind, word, seed, size), calls
+
+
+class TestRunningCount:
+    @settings(max_examples=200, deadline=None)
+    @given(_count_sessions())
+    def test_count_matches_brute_force(self, tmp_path_factory, session):
+        kind, alphabet, word, seed, ref, calls = session
+        if kind == "memory":
+            c = Collective(alphabet, symbols=word)
+        elif kind == "file":
+            path = tmp_path_factory.mktemp("symbols") / "symbols.txt"
+            path.write_text("\n".join(word[i : i + 7] for i in range(0, len(word), 7)))
+            c = Collective.from_file(str(path), alphabet)
+        elif kind == "periodic":
+            c = Collective.periodic(word, alphabet=alphabet)
+        else:
+            c = Collective.random_bits(seed)
+        finite = kind in ("memory", "file")
+        for labels, n in calls:
+            if finite and n > len(ref):
+                with pytest.raises(InsufficientData):
+                    c.count(labels, n)
+                continue
+            assert c.count(labels, n) == sum(ch in labels for ch in ref[:n])
+            assert c.prefix(n) == ref[:n]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.text("abc", min_size=1, max_size=300),
+        st.lists(st.integers(0, 300), min_size=1, max_size=20),
+    )
+    def test_alternating_label_sets(self, symbols, sizes):
+        # the pattern of conditional_s_probability: count(A, n), count(A & B, n)
+        c = Collective("abc", symbols=symbols)
+        for n in sizes:
+            n = min(n, len(symbols))
+            head = symbols[:n]
+            assert c.count("ab", n) == sum(ch in "ab" for ch in head)
+            assert c.count("a", n) == head.count("a")
+            assert c.count("ab", n) == sum(ch in "ab" for ch in head)
 
 
 class TestSelectors:
