@@ -409,6 +409,8 @@ class TestPlumbing:
 
 # Every subcommand in both formats, with its guard exits: the exit code and
 # the SHA-256 of stdout, recorded before the report writers were merged.
+# The benchmark-sized clt and mahler --clt-check cases were recorded on the
+# cubic series routes, before the quadratic series kernels replaced them.
 GOLDEN = [
     ("valuation 12 --prime 3", "csv", 0, "3ef99c0cf1a061f21bac9a397ffb06282bdd94a1a791dadc51651459f4b90b41"),
     ("valuation 12 --prime 3", "json", 0, "3f57de177e78d1fa0d304905bdbd115512419a51af58c3744b1acf2c4f7bdb03"),
@@ -476,6 +478,10 @@ GOLDEN = [
     ("clt --a 1/2 --prime 3 --order 6", "json", 0, "f8d31e3fd9b0b192de92d7af3f1686a810c29dde39d62fed7dbecfb6d8012b2b"),
     ("clt --a 1/3 --prime 3", "csv", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("clt --a 1/3 --prime 3", "json", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("clt --a 1/2 --order 30 --prime 3", "csv", 0, "528ddda8e86ddc883978f3ce41ab5dec2ded5f463ae8f6d16cf1dd61f436f4e0"),
+    ("clt --a 1/2 --order 30 --prime 3", "json", 0, "7b470fe65f52ce50a9b55513f8dffeca5c7dd417cce488cd97385a9ed6715503"),
+    ("clt --a 3 --order 30", "csv", 0, "6df7d9221e9b4e329973f20170d2e1af80869671ad15c6f134d19ce58f53ca23"),
+    ("clt --a 3 --order 30", "json", 0, "c0a7ad159dede5df09add8c1c9b320dddaf2bc3dc52bca5fbef081b39a6de591"),
     ("mahler --prime 3 --mmax 3 --n 4", "csv", 0, "b6520fc0f4b9d582758e1e3f372aafdd9d4204131c24578b10b5e55df9dd8bc2"),
     ("mahler --prime 3 --mmax 3 --n 4", "json", 0, "2ce4cec5a88f4495592e8e8d833d2e00728a0f5836ad90d30fc2f800ca3dfde4"),
     ("mahler --prime 5 --q 1/3 --a 7 --mmax 4", "csv", 0, "8eaaf6a367faf5806d55455d71edf0dff6883b7a13d1a6674f9031eb270ecf08"),
@@ -486,6 +492,10 @@ GOLDEN = [
     ("mahler --prime 3 --clt-check --a 2 --count 8", "json", 0, "79578d3f37943358b7b2656f3a12a1ee9b7f9cfa7a85a858a00fd58bc5208e1f"),
     ("mahler --prime 2 --clt-check", "csv", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("mahler --prime 2 --clt-check", "json", 5, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("mahler --prime 3 --clt-check --count 70", "csv", 0, "9f1bff9b36245cbdf45cd84be66028542f9ae180f5e10c071f6003c6a25b7f86"),
+    ("mahler --prime 3 --clt-check --count 70", "json", 0, "f987c762bda0542d394a9a8ea2d14403e967da8e02a1049b82f3d1f93cf01adb"),
+    ("mahler --prime 5 --clt-check --count 40 --a 1/2", "csv", 0, "d6f221dd58e53d7711056b03183d762e1d41b726d8c16fdf22c806d86c63c1ba"),
+    ("mahler --prime 5 --clt-check --count 40 --a 1/2", "json", 0, "fbc176d67f0add7be65945109aad4635019c1d44e633e264415d34269e023800"),
     ("integrate --q 2 --prime 3 --depth 6", "csv", 0, "83b20481191aca59de7685b3ff582a245b02f8e8737f479ed765d8c54bfb14b1"),
     ("integrate --q 2 --prime 3 --depth 6", "json", 0, "4281c796359760030e421451b4838ce9d59e6ac69024fe6c42aa0c6cb4c4eb29"),
     ("integrate --q 4 --prime 3", "csv", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
