@@ -317,6 +317,8 @@ def _cmd_mahler(args):
         else:
             _say("mahler: exploratory run, coefficient valuations only, no verdict")
         return
+    if args.mmax < 0:
+        raise RangeError("mmax must be a natural")
     params = limits.BernoulliParams(p, Fraction(args.q))
     a = Fraction(args.a)
     columns = [("m", INT), ("lambda", RATIONAL)]

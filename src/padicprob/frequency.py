@@ -110,8 +110,10 @@ class Collective:
             raise ValueError("periodic word must be nonempty")
         if alphabet is None:
             alphabet = "01" if set(word) <= {"0", "1"} else "".join(sorted(set(word)))
+        # the first period goes in as symbols, so __init__ checks the alphabet
         return cls(
             alphabet,
+            symbols=word,
             generator=itertools.cycle(word),
             description=f"periodic:{word}",
         )

@@ -20,7 +20,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -41,7 +42,7 @@ from .padic import (
     vp,
 )
 from .reports import EXPONENT, FLAG, INT, RATIONAL, format_rational, json_exponent, table_lines
-from .series import FormalSeries, cosh_scaled_sq, exp_series, log1p_series, one
+from .series import FormalSeries, cosh_scaled_sq, exp_series, one
 
 
 def binom(n: int, r: int) -> int:
@@ -411,8 +412,6 @@ def charfun_series(params: BernoulliParams, a, order: int) -> FormalSeries:
     p-adic integer exponent."""
     base = one(order) + (exp_series(order) - one(order)).scale(params.q_prime)
     a = as_fraction(a)
-    if a.denominator == 1 and a >= 0:
-        return base.integer_power(int(a))
     if vp(a, params.prime) < 0:
         raise DomainError("exponent must be a p-adic integer")
     return base.padic_power(a)
@@ -497,17 +496,16 @@ def mahler_lln_traces(
 def clt_series(a, order: int, prime=None) -> FormalSeries:
     """(cosh(z/sqrt(a)))**a through the truncation order, built from the
     even-power expansion so no square root is ever taken. Natural a >= 1
-    uses the exact integer power; other exponents must be p-adic units
-    (the even coefficients divide by a**k)."""
+    needs no prime; other exponents must be p-adic units (the even
+    coefficients divide by a**k)."""
     if order % 2 != 0:
         raise ValueError("truncation order must be even")
     a = as_fraction(a)
-    if a.denominator == 1 and a >= 1:
-        return cosh_scaled_sq(a, order).integer_power(int(a))
-    if prime is None:
-        raise ValueError("non-natural exponents need the prime for the unit check")
-    if a == 0 or vp(a, Prime(prime)) != 0:
-        raise DomainError("exponent must be a p-adic unit")
+    if not (a.denominator == 1 and a >= 1):
+        if prime is None:
+            raise ValueError("non-natural exponents need the prime for the unit check")
+        if a == 0 or vp(a, Prime(prime)) != 0:
+            raise DomainError("exponent must be a p-adic unit")
     return cosh_scaled_sq(a, order).padic_power(a)
 
 
@@ -532,15 +530,37 @@ class MahlerSeq:
         return best
 
 
+def stirling_first_rows(nmax: int):
+    """Yield the rows [s(n, 0), ..., s(n, n)] of the signed Stirling
+    numbers of the first kind for n = 0..nmax, as exact integers:
+    s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
+    row = [1]
+    yield row
+    for n in range(1, nmax + 1):
+        row = [left - (n - 1) * right for left, right in zip([0] + row, row + [0])]
+        yield row
+
+
 def charfun_to_mahler(phi: FormalSeries, count: int) -> MahlerSeq:
     """Invert a characteristic series phi(z) (phi(0) = 1) into Mahler
-    coefficients: the w-expansion of phi(log(1 + w))."""
+    coefficients: the w-expansion of phi(log(1 + w)).
+
+    Since z**k/k! = sum_n s(n, k) w**n/n! for z = log(1 + w), the n-th
+    coefficient is sum_k s(n, k) k! c_k / n!, O(count**2) integer work
+    over one common denominator."""
     if phi.coefficient(0) != 1:
         raise DomainError("characteristic series must have constant term 1")
+    if count < 0:
+        raise RangeError("count must be a natural")
     if count > phi.order:
         raise OrderError(f"asked for {count} coefficients from order {phi.order}")
-    w = phi.compose(log1p_series(phi.order))
-    return MahlerSeq(w.coeffs[: count + 1])
+    scaled = [c * factorial(k) for k, c in enumerate(phi.coeffs[: count + 1])]
+    den = lcm(*(c.denominator for c in scaled))
+    nums = [c.numerator * (den // c.denominator) for c in scaled]
+    return MahlerSeq(tuple(
+        Fraction(sum(map(mul, row, nums)), den * factorial(n))
+        for n, row in enumerate(stirling_first_rows(count))
+    ))
 
 
 BOUND_CHECK_NOTE = "finite coefficient check; evidence on [0, count], not a proof"

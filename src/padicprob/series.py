@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, OrderError
-from .padic import as_fraction, falling_binomial
+from .padic import as_fraction
 
 
 class FormalSeries:
@@ -90,26 +90,26 @@ class FormalSeries:
         return out
 
     def padic_power(self, a) -> "FormalSeries":
-        """Binomial-series power B**a for a base B with constant term 1.
+        """Power B**a for a base B with constant term 1.
 
         a may be any exact rational (or int); the result is the formal
-        expansion sum_m C(a, m) (B - 1)**m, exact through the order.
+        expansion sum_m C(a, m) (B - 1)**m, exact through the order. The
+        coefficients come from J.C.P. Miller's recurrence
+        n p_n = sum_{k=1..n} ((a + 1) k - n) b_k p_{n-k}, O(order**2).
         """
         if self.coeffs[0] != 1:
             raise DomainError("padic_power needs base constant term 1")
         a = as_fraction(a)
-        if a.denominator == 1 and a >= 0:
-            return self.integer_power(int(a))
-        d = self.order
-        u = self - one(d)
-        out = one(d)
-        upow = one(d)
-        for m in range(1, d + 1):
-            upow = upow * u
-            c = falling_binomial(a, m)
-            if c:
-                out = out + upow.scale(c)
-        return out
+        if a == 1:
+            return self
+        # a + 1 = r/s, so n s p_n = sum_k (r k - n s) b_k p_{n-k}
+        r, s = a.numerator + a.denominator, a.denominator
+        b = self.coeffs
+        out = [Fraction(1)]
+        for n in range(1, self.order + 1):
+            acc = sum((r * k - n * s) * b[k] * out[n - k] for k in range(1, n + 1) if b[k])
+            out.append(Fraction(acc, n * s))
+        return FormalSeries(out)
 
     def __eq__(self, other):
         if not isinstance(other, FormalSeries):

@@ -206,6 +206,23 @@ class TestCltAndMahler:
         rc, _, _ = run(capsys, ["mahler", "--prime", "2", "--clt-check"])
         assert rc == EXIT_CODES["domain"]
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--clt-check", "--count", "-1"], "error: count must be a natural"),
+            (["--clt-check", "--count", "-1", "--a", "1/2"], "error: count must be a natural"),
+            (["--mmax", "-1"], "error: mmax must be a natural"),
+            (["--mmax", "-1", "--n", "4"], "error: mmax must be a natural"),
+        ],
+    )
+    def test_negative_size_refused(self, capsys, argv, message):
+        # no verdict or header on an empty coefficient range
+        rc, out, err = run(capsys, ["mahler", "--prime", "3", *argv])
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [message]
+        assert "bounded=" not in err
+
     def test_clt_check_exploratory(self, capsys):
         rc, _, err = run(
             capsys, ["mahler", "--prime", "3", "--clt-check", "--a", "2", "--count", "8"]

@@ -58,6 +58,14 @@ class TestCollective:
         assert c.prefix(5) == "01010"
         assert c.count("1", 10**4) == 5000
 
+    def test_periodic_word_checked_against_alphabet(self):
+        with pytest.raises(InvalidLabel) as periodic:
+            Collective.periodic("012", alphabet="01")
+        with pytest.raises(InvalidLabel) as given:
+            Collective("01", symbols="012")
+        assert str(periodic.value) == str(given.value)
+        assert Collective.periodic("0110", alphabet="01").prefix(10) == "0110011001"
+
     def test_random_bits_deterministic(self):
         a = Collective.random_bits(42).prefix(64)
         b = Collective.random_bits(42).prefix(64)

@@ -48,10 +48,11 @@ from padicprob.limits import (
     prime_edge_trace,
     sphere_probability,
     sphere_randomness_test,
+    stirling_first_rows,
     symmetric_params,
 )
 from padicprob.padic import PadicAbs, PadicApprox, abs_p, factorial_vp, falling_binomial, vp
-from padicprob.series import cosh_scaled_sq, exp_series
+from padicprob.series import FormalSeries, cosh_scaled_sq, exp_series, log1p_series
 
 SYM3 = symmetric_params(3)
 
@@ -590,6 +591,50 @@ class TestCharfunToMahler:
             charfun_to_mahler(exp_series(6).scale(2), 4)
         with pytest.raises(OrderError):
             charfun_to_mahler(exp_series(6), 7)
+        with pytest.raises(RangeError):
+            charfun_to_mahler(exp_series(6), -1)
+
+    # the composition phi(log(1 + w)) is the O(order**3) brute-force route
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_composition_with_log1p(self, data):
+        order = data.draw(st.integers(0, 24))
+        tail = data.draw(
+            st.lists(st.fractions(-9, 9, max_denominator=12), min_size=order, max_size=order)
+        )
+        count = data.draw(st.one_of(st.just(order), st.integers(0, order)))
+        phi = FormalSeries([1, *tail])
+        expected = phi.compose(log1p_series(order)).coeffs[: count + 1]
+        assert charfun_to_mahler(phi, count).coefficients == expected
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            clt_series(1, 24),
+            clt_series(Fraction(1, 2), 24, prime=3),
+            clt_series(Fraction(-7, 2), 24, prime=5),
+            charfun_series(SYM3, Fraction(-1, 2), 24),
+            charfun_series(BernoulliParams(5, Fraction(1, 3)), 7, 24),
+        ],
+    )
+    def test_matches_composition_at_order_24(self, phi):
+        expected = phi.compose(log1p_series(24)).coeffs
+        assert charfun_to_mahler(phi, 24).coefficients == expected
+
+
+class TestStirlingRows:
+    ROWS = list(stirling_first_rows(12))
+
+    def test_small_rows(self):
+        assert self.ROWS[:5] == [[1], [0, 1], [0, -1, 1], [0, 2, -3, 1], [0, -6, 11, -6, 1]]
+
+    def test_row_identities(self):
+        for n, row in enumerate(self.ROWS):
+            assert len(row) == n + 1
+            assert row[n] == 1
+            assert sum(abs(s) for s in row) == math.factorial(n)
+            if n >= 2:
+                assert sum(row) == 0
 
     def test_abs_exponents(self):
         seq = charfun_to_mahler(clt_series(1, 8), 6)

@@ -2,8 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicprob.errors import DomainError, OrderError
+from padicprob.padic import falling_binomial
 from padicprob.series import (
     FormalSeries,
     constant,
@@ -100,6 +103,40 @@ def test_padic_power_half_squares_back():
     b = one(8) + identity(8)
     h = b.padic_power(Fraction(1, 2))
     assert h * h == b
+
+
+def binomial_series_power(base, a):
+    """sum_m C(a, m) (B - 1)**m, the O(order**3) brute-force route."""
+    d = base.order
+    u = base - one(d)
+    out = upow = one(d)
+    for m in range(1, d + 1):
+        upow = upow * u
+        out = out + upow.scale(falling_binomial(Fraction(a), m))
+    return out
+
+
+EXPONENTS = st.one_of(
+    st.integers(-6, 20),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(9, 2), Fraction(-25, 3)]),
+    st.fractions(-12, 12, max_denominator=30),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 14).flatmap(
+        lambda d: st.lists(st.fractions(-6, 6, max_denominator=8), min_size=d, max_size=d)
+    ),
+    EXPONENTS,
+)
+def test_padic_power_matches_binomial_series(tail, a):
+    base = FormalSeries([1, *tail])
+    power = base.padic_power(a)
+    assert power == binomial_series_power(base, a)
+    a = Fraction(a)
+    if a.denominator == 1 and a >= 0:
+        assert power == base.integer_power(int(a))
 
 
 def test_padic_power_needs_unit_constant():
