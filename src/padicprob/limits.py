@@ -501,7 +501,7 @@ def clt_series(a, order: int, prime=None) -> FormalSeries:
     if order % 2 != 0:
         raise ValueError("truncation order must be even")
     a = as_fraction(a)
-    if not (a.denominator == 1 and a >= 1):
+    if a.denominator != 1 or a < 1:
         if prime is None:
             raise ValueError("non-natural exponents need the prime for the unit check")
         if a == 0 or vp(a, Prime(prime)) != 0:

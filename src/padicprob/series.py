@@ -100,7 +100,7 @@ class FormalSeries:
         if self.coeffs[0] != 1:
             raise DomainError("padic_power needs base constant term 1")
         a = as_fraction(a)
-        if a == 1:
+        if a == 1:  # B**1 = B, the a = 1 series of clt and --clt-check
             return self
         # a + 1 = r/s, so n s p_n = sum_k (r k - n s) b_k p_{n-k}
         r, s = a.numerator + a.denominator, a.denominator
