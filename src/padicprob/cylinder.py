@@ -19,12 +19,13 @@ bound delta(n) turning into an explicit error exponent.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import AlphabetMismatch, DigitRange, DomainError, OscillationMissing
-from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction
+from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction, from_digits, to_digits
 from .reports import INT, RATIONAL, table_lines
 
 Word = tuple[int, ...]
@@ -49,8 +50,7 @@ def _as_word(w, q: int) -> Word:
 def encode_jq(word, q) -> int:
     """j_q of a finite prefix: sum of digit_j * q**j."""
     q = Prime(q)
-    word = _as_word(word, q)
-    return sum(d * q**j for j, d in enumerate(word))
+    return from_digits(_as_word(word, q), q)
 
 
 def decode_jq(n: int, q, depth: int) -> Word:
@@ -60,11 +60,7 @@ def decode_jq(n: int, q, depth: int) -> Word:
         raise DigitRange("depth must be >= 0")
     if not 0 <= n < q**depth:
         raise DigitRange(f"{n} is not encodable in {depth} base-{q} digits")
-    out = []
-    for _ in range(depth):
-        n, d = divmod(n, q)
-        out.append(d)
-    return tuple(out)
+    return to_digits(n, q, depth)
 
 
 @dataclass(frozen=True)
@@ -84,6 +80,14 @@ class Cylinder:
 
 
 # -- trie plumbing -------------------------------------------------------
+
+
+def _trie(words, q):
+    """The canonical trie of a union of cylinders; _FULL marks a whole subtree."""
+    trie: dict | str = {}
+    for w in words:
+        trie = _insert(trie, w)
+    return _canon(trie, q)
 
 
 def _insert(node, word):
@@ -109,33 +113,23 @@ def _canon(node, q):
     return out
 
 
-def _leaves(node, path, acc):
+def _leaves(node, path=()):
     if node is _FULL:
-        acc.append(path)
+        yield path
         return
     for d in sorted(node):
-        _leaves(node[d], path + (d,), acc)
+        yield from _leaves(node[d], path + (d,))
 
 
-def _complement_words(node, q, path, acc):
+def _complement_words(node, q, path=()):
     if node is _FULL:
         return
     for d in range(q):
         ch = node.get(d)
         if ch is None:
-            acc.append(path + (d,))
+            yield path + (d,)
         else:
-            _complement_words(ch, q, path + (d,), acc)
-
-
-def _normalize(words, q) -> tuple[Word, ...]:
-    trie: dict | str = {}
-    for w in words:
-        trie = _insert(trie, w)
-    trie = _canon(trie, q)
-    acc: list[Word] = []
-    _leaves(trie, (), acc)
-    return tuple(acc)
+            yield from _complement_words(ch, q, path + (d,))
 
 
 class Clopen:
@@ -148,7 +142,7 @@ class Clopen:
         q = int(Prime(q))
         ws = [_as_word(w, q) for w in words]
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "words", _normalize(ws, q))
+        object.__setattr__(self, "words", tuple(_leaves(_trie(ws, q))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Clopen is immutable")
@@ -204,13 +198,7 @@ class Clopen:
         return Clopen(self.q, out)
 
     def complement(self) -> "Clopen":
-        trie: dict | str = {}
-        for w in self.words:
-            trie = _insert(trie, w)
-        trie = _canon(trie, self.q)
-        acc: list[Word] = []
-        _complement_words(trie, self.q, (), acc)
-        return Clopen(self.q, acc)
+        return Clopen(self.q, _complement_words(_trie(self.words, self.q), self.q))
 
     def __sub__(self, other):
         return self & self._check(other).complement()
@@ -219,17 +207,11 @@ class Clopen:
         """Membership of any point extending the given prefix; raises if
         the prefix is too short to decide."""
         prefix = _as_word(prefix, self.q)
-        node: dict | str = {}
-        for w in self.words:
-            node = _insert(node, w)
-        node = _canon(node, self.q)
+        node = _trie(self.words, self.q)
         for d in prefix:
             if node is _FULL:
                 return True
-            nxt = node.get(d)
-            if nxt is None:
-                return False
-            node = nxt
+            node = node.get(d, {})  # a missing child is the empty set
         if node is _FULL:
             return True
         if node == {}:
@@ -363,17 +345,6 @@ class UniformMeasure(CylinderMeasure):
         word = _as_word(word, self.q)
         return Fraction(1, self.q ** len(word))
 
-    def measure_norm(self, clopen: Clopen) -> PadicAbs:
-        if clopen.q != self.q:
-            raise AlphabetMismatch(f"measure over q={self.q}, clopen over q={clopen.q}")
-        if clopen.is_empty:
-            return PadicAbs.zero(self.prime)
-        return PadicAbs.one(self.prime)
-
-    def point_norm(self, prefix) -> PadicAbs:
-        _as_word(prefix, self.q)
-        return PadicAbs.one(self.prime)
-
 
 def zero_measure(q, prime) -> CylinderMeasure:
     return CylinderMeasure(q, prime, 0, {(): Fraction(0)})
@@ -460,8 +431,7 @@ def integrate_continuous(
         raise ValueError("depth must be >= 0")
     q, p = measure.q, measure.prime
     total = Fraction(0)
-    for idx in range(q**depth):
-        word = decode_jq(idx, q, depth)
+    for word in itertools.product(range(q), repeat=depth):
         total += as_fraction(f.evaluator(word)) * measure.cylinder_mass(word)
     osc_exp = int(f.oscillation(depth))
     norm = measure.measure_norm(Clopen.whole(q))
@@ -480,6 +450,6 @@ def digit_weight_map(q, prime) -> ContinuousMap:
     p = Prime(prime)
 
     def evaluator(word):
-        return sum(Fraction(d) * Fraction(p) ** j for j, d in enumerate(word))
+        return Fraction(from_digits(word, p))
 
     return ContinuousMap(evaluator, oscillation=lambda n: n, name="digitweight")

@@ -26,6 +26,7 @@ from .errors import (
     InsufficientData,
     InvalidLabel,
     InvalidTarget,
+    RangeError,
 )
 from .padic import Ball, PadicApprox, Prime, as_fraction, vp
 from .reports import EXPONENT, INT, RATIONAL, format_rational, table_lines
@@ -65,14 +66,14 @@ class Collective:
             raise ValueError("alphabet entries must be single characters")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet has repeated symbols")
+        # deleting the alphabet leaves only the stray symbols
+        self._drop_alphabet = str.maketrans("", "", "".join(self.alphabet))
         if isinstance(symbols, str):
-            # deleting the alphabet leaves only the stray symbols
-            bad = set(symbols.translate(str.maketrans("", "", "".join(self.alphabet))))
+            bad = set(symbols.translate(self._drop_alphabet))
         else:
             symbols = list(symbols)
             bad = set(symbols) - set(self.alphabet)
-        if bad:
-            raise InvalidLabel(f"symbols {sorted(bad)} outside alphabet {self.alphabet}")
+        self._refuse(bad)
         self._buf = symbols if isinstance(symbols, str) else "".join(symbols)
         self._gen = generator
         self._counts = {}  # label set -> (n, occurrences among the first n symbols)
@@ -148,15 +149,21 @@ class Collective:
 
     # -- access ----------------------------------------------------------
 
+    def _refuse(self, bad) -> None:
+        if bad:
+            raise InvalidLabel(f"symbols {sorted(bad)} outside alphabet {self.alphabet}")
+
     def _fill(self, n: int) -> None:
-        """Hold at least n symbols, or raise InsufficientData."""
+        """Hold at least n symbols, or raise InsufficientData (InvalidLabel on a stray)."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         need = n - len(self._buf)
         if need > 0 and self._gen is not None:
             more = "".join(itertools.islice(self._gen, need))
-            if len(more) < need:
-                self._gen = None
+            bad = set(more.translate(self._drop_alphabet))
+            if len(more) < need or bad:
+                self._gen = None  # a source that ran short or strayed yields no more
+            self._refuse(bad)
             self._buf += more
         if len(self._buf) < n:
             raise InsufficientData(
@@ -192,25 +199,31 @@ def relative_frequency(collective: Collective, labels, n: int) -> Fraction:
     return Fraction(collective.count(labels, n), n)
 
 
-def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
-    """Forward-fill a 0/1 sequence so that at every checkpoint N in
-    terms the partial sum hits the tested event exactly.
+def event_residues(prime, depth: int, center: int, mode: str) -> tuple[int, frozenset[int]]:
+    """The tested checkpoint event as residue classes: a sum S hits it
+    exactly when S % mod is in residues. Returns (mod, residues).
 
-    mode "sphere": v_p(S_N - center) == depth at every checkpoint;
-    mode "residue": (S_N - center) mod p**depth lands in 1..p-1.
-    Raises ValueError if some gap is too short to steer the sum.
+    mode "sphere": v_p(S - center) == depth, mod p**(depth+1);
+    mode "residue": S - center is congruent mod p**depth to one of
+    1..p-1 (at depth 0 that holds for every S).
     """
     p = Prime(prime)
-    l = int(depth)
-    r = int(center)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    small = p**depth
     if mode == "sphere":
-        work_mod = p ** (l + 1)
-        targets = sorted((r + u * p**l) % work_mod for u in range(1, p))
-    elif mode == "residue":
-        work_mod = p**l
-        targets = sorted((r + a) % work_mod for a in range(1, p))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return small * p, frozenset((center + u * small) % (small * p) for u in range(1, p))
+    if mode == "residue":
+        return small, frozenset((center + a) % small for a in range(1, p))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
+    """Forward-fill a 0/1 sequence so that at every checkpoint N in
+    terms the partial sum hits the tested event (see event_residues)
+    exactly. Raises ValueError if some gap is too short to steer the sum.
+    """
+    mod, targets = event_residues(prime, int(depth), int(center), mode)
     out = []
     s = 0
     pos = 0
@@ -218,7 +231,7 @@ def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
         if n <= pos:
             raise ValueError("checkpoints must be strictly increasing")
         gap = n - pos
-        deltas = sorted((t - s) % work_mod for t in targets)
+        deltas = sorted((t - s) % mod for t in targets)
         delta = next((d for d in deltas if d <= gap), None)
         if delta is None:
             raise ValueError(
@@ -434,6 +447,8 @@ def _window_terms(selector: SequenceSelector, kmax: int, window: int, topology: 
     """The selector's first kmax usable terms, enough for the Cauchy window."""
     if topology not in ("padic", "real"):
         raise ValueError(f"unknown topology {topology!r}")
+    if window < 1:
+        raise RangeError(f"the Cauchy window needs at least one gap, got {window}")
     terms = selector.terms(kmax)
     if len(terms) < window + 1:
         raise InsufficientData(

@@ -31,7 +31,7 @@ from .errors import (
     PrecisionExhausted,
     RangeError,
 )
-from .frequency import Collective, SequenceSelector
+from .frequency import Collective, SequenceSelector, event_residues
 from .padic import (
     PadicAbs,
     PadicApprox,
@@ -53,21 +53,12 @@ def binom(n: int, r: int) -> int:
 
 
 def binom_vp(n: int, r: int, p) -> int:
-    """v_p(C(n, r)) as the number of carries when adding r and n-r in
-    base p; never touches the (possibly huge) coefficient itself."""
+    """v_p(C(n, r)) = v_p(n!) - v_p(r!) - v_p((n-r)!) by Legendre's formula, which Kummer's
+    theorem equates with the carries when adding r and n-r in base p."""
     if not 0 <= r <= n:
         raise RangeError(f"binom_vp needs 0 <= r <= n, got n={n}, r={r}")
     p = Prime(p)
-    a, b = r, n - r
-    carries = 0
-    carry = 0
-    while a or b or carry:
-        s = a % p + b % p + carry
-        carry = 1 if s >= p else 0
-        carries += carry
-        a //= p
-        b //= p
-    return carries
+    return factorial_vp(n, p) - factorial_vp(r, p) - factorial_vp(n - r, p)
 
 
 def padic_binomial_coeff(a, m: int, prime=None) -> PadicApprox:
@@ -216,11 +207,8 @@ def sphere_probability(params: BernoulliParams, n: int, depth: int, center: int)
     """P(v_p(S_n - center) == depth exactly): the depth-ball minus its
     child ball, i.e. the p - 1 other lifts of center mod p**(depth+1),
     read off one residue law."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    p = params.prime
-    small = p**depth
-    return _residue_probability(params, n, small * p, [center + i * small for i in range(1, p)])
+    mod, residues = event_residues(params.prime, depth, center, "sphere")
+    return _residue_probability(params, n, mod, residues)
 
 
 def binomial_limit_weights(m: int) -> dict[int, Fraction]:
@@ -593,32 +581,6 @@ def clt_mahler_bound_check(prime, count: int = 30) -> MahlerBoundReport:
 # -- sphere randomness test -------------------------------------------------
 
 
-def _hit_predicate(p: int, depth: int, center: int, mode: str):
-    small = p**depth
-    big = small * p
-
-    def sphere_hit(s: int) -> bool:
-        d = (s - center) % big
-        return d != 0 and d % small == 0
-
-    def residue_hit(s: int) -> bool:
-        return 0 < (s - center) % small < p
-
-    if mode == "sphere":
-        return sphere_hit
-    if mode == "residue":
-        return residue_hit
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _event_probability(params, n, depth, center, mode) -> Fraction:
-    if mode == "sphere":
-        return sphere_probability(params, n, depth, center)
-    return _residue_probability(
-        params, n, params.prime**depth, [center + alpha for alpha in range(1, params.prime)]
-    )
-
-
 class CheckpointRow(NamedTuple):
     k: int
     n: int
@@ -674,8 +636,7 @@ def sphere_randomness_test(
     p = Prime(prime)
     if depth < 1:
         raise HypothesisViolation("the tested event needs depth >= 1")
-    if mode not in ("sphere", "residue"):
-        raise ValueError(f"unknown mode {mode!r}")
+    mod, residues = event_residues(p, depth, center, mode)
     if not set(collective.alphabet) <= {"0", "1"}:
         raise ValueError("the sum test runs on 0/1 sequences")
     if kmin < 1 or kmax < kmin:
@@ -684,13 +645,12 @@ def sphere_randomness_test(
     all_terms = selector.terms(kmax)
     if len(all_terms) < kmax:
         raise DomainError("selector yields fewer usable terms than kmax")
-    hit = _hit_predicate(p, depth, center, mode)
     rows = []
     for k in range(kmin, kmax + 1):
         n = all_terms[k - 1]
         s = collective.count("1", n)
-        prob = _event_probability(params, n, depth, center, mode)
-        rows.append(CheckpointRow(k, n, s, hit(s), prob, vp(prob, p)))
+        prob = _residue_probability(params, n, mod, residues)
+        rows.append(CheckpointRow(k, n, s, s % mod in residues, prob, vp(prob, p)))
     k_eps = None
     for i, row in enumerate(rows):
         if all(r.prob_exponent > eps_exponent for r in rows[i:]):
@@ -731,13 +691,10 @@ def sphere_randomness_test(
 
 def _pattern_numerators(prime, depth, center, terms, mode) -> tuple[dict, int]:
     """Numerators of the joint hit law over 2**N, N the last checkpoint:
-    (pattern -> numerator, N). The partial sums only matter modulo
-    p**(depth+1), so the chain over residues stays tiny whatever the
+    (pattern -> numerator, N). The partial sums only matter modulo the
+    event's modulus, so the chain over residues stays tiny whatever the
     checkpoint sizes."""
-    p = Prime(prime)
-    mod = p ** (depth + 1)
-    hit = _hit_predicate(p, depth, center, mode)
-    hits = [hit(res) for res in range(mod)]
+    mod, residues = event_residues(prime, depth, center, mode)
     terms = list(terms)
     states: dict[tuple[int, tuple[bool, ...]], int] = {(0, ()): 1}
     pos = 0
@@ -750,7 +707,7 @@ def _pattern_numerators(prime, depth, center, terms, mode) -> tuple[dict, int]:
             # after the last checkpoint only the pattern matters, so each
             # residue needs just the mass of the increments that hit
             hit_mass = [
-                sum(cnt for c, cnt in enumerate(counts) if hits[(res + c) % mod])
+                sum(cnt for c, cnt in enumerate(counts) if (res + c) % mod in residues)
                 for res in range(mod)
             ]
             for (res, pat), val in states.items():
@@ -762,7 +719,7 @@ def _pattern_numerators(prime, depth, center, terms, mode) -> tuple[dict, int]:
                 for c, cnt in enumerate(counts):
                     if cnt:
                         nres = (res + c) % mod
-                        nxt[(nres, pat + (hits[nres],))] += val * cnt
+                        nxt[(nres, pat + (nres in residues,))] += val * cnt
         states = nxt
         pos = n
     numerators: dict[tuple[bool, ...], int] = defaultdict(int)

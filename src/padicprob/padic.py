@@ -282,17 +282,38 @@ def in_sphere(x, sphere: Sphere) -> bool:
     return sphere.contains(x)
 
 
-def _unit_digits(x: Fraction, p: int, n: int) -> tuple[int, ...]:
-    # digits of the unit part of x (both num and den prime to p) mod p**n
-    if n <= 0:
-        return ()
-    mod = p**n
-    u = x.numerator % mod * pow(x.denominator, -1, mod) % mod
+def to_digits(n: int, base: int, count: int) -> tuple[int, ...]:
+    """The lowest `count` base-`base` digits of a natural n, least significant first.
+
+    Examples:
+        >>> to_digits(19, 3, 4)
+        (1, 0, 2, 0)
+    """
     digits = []
-    for _ in range(n):
-        u, d = divmod(u, p)
+    for _ in range(count):
+        n, d = divmod(n, base)
         digits.append(d)
     return tuple(digits)
+
+
+def from_digits(digits, base: int) -> int:
+    """The natural sum of digit_j * base**j: the inverse of to_digits.
+
+    Examples:
+        >>> from_digits((1, 0, 2), 3)
+        19
+    """
+    n = 0
+    for d in reversed(digits):
+        n = n * base + d
+    return n
+
+
+def _unit_digits(x: Fraction, p: int, n: int) -> tuple[int, ...]:
+    # digits of the unit part of x (both num and den prime to p) mod p**n
+    mod = p**n
+    u = x.numerator % mod * pow(x.denominator, -1, mod) % mod
+    return to_digits(u, p, n)
 
 
 class PadicApprox:
@@ -382,7 +403,7 @@ class PadicApprox:
         return self.exact_zero or not self.digits
 
     def unit_int(self) -> int:
-        return sum(d * self.prime**j for j, d in enumerate(self.digits))
+        return from_digits(self.digits, self.prime)
 
     def rational_rep(self) -> Fraction:
         """The canonical rational representative of the known window."""
@@ -675,10 +696,5 @@ def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
 
 
 def factorial_vp(m: int, p: int) -> int:
-    # v_p(m!) = (m - s_p(m)) / (p - 1)
-    s = 0
-    n = m
-    while n:
-        s += n % p
-        n //= p
-    return (m - s) // (p - 1)
+    # v_p(m!) = (m - s_p(m)) / (p - 1); m has at most m.bit_length() base-p digits
+    return (m - sum(to_digits(m, p, m.bit_length()))) // (p - 1)

@@ -344,6 +344,17 @@ class TestFreq:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_window_below_one(self, capsys, window):
+        rc, out, err = run(
+            capsys,
+            ["freq", "--periodic", "01", "--labels", "1", "--prime", "3",
+             "--scheme", "2*p^k", "--kmax", "4", "--threshold", "1", "--window", window],
+        )
+        assert rc == EXIT_CODES["parse"]
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: the Cauchy window needs at least one gap, got {window}"
+
 
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):

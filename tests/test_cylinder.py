@@ -37,6 +37,21 @@ def clopens(q, depth=3, width=4):
     return st.lists(words, max_size=width).map(lambda ws: Clopen(q, ws))
 
 
+def _per_digit_weight(word, p):
+    """The digit-weight map summed one Fraction per digit."""
+    return sum(Fraction(d) * Fraction(p) ** j for j, d in enumerate(word))
+
+
+def _uniform_norm(clopen, p):
+    """The uniform measure's norm read off directly: every cylinder has
+    mass q**-l, a p-adic unit, so the norm is 1 on any nonempty set."""
+    return PadicAbs.zero(p) if clopen.is_empty else PadicAbs.one(p)
+
+
+#: (q, p) pairs with p != q
+ALPHABET_PRIMES = st.sampled_from([(2, 3), (3, 2), (2, 5), (5, 3), (3, 7)])
+
+
 class TestEncoding:
     def test_spot_values(self):
         assert encode_jq((1, 2), 3) == 7
@@ -294,6 +309,15 @@ class TestUniformMeasure:
         assert u.measure_norm(Clopen.empty(2)) == PadicAbs.zero(3)
         assert u.point_norm((0, 1, 1)) == PadicAbs.one(3)
 
+    @given(ALPHABET_PRIMES, st.data())
+    def test_norms_against_constant_norms(self, qp, data):
+        q, p = qp
+        u = UniformMeasure(q, p)
+        region = data.draw(clopens(q))
+        assert u.measure_norm(region) == _uniform_norm(region, p)
+        prefix = data.draw(st.lists(st.integers(0, q - 1), max_size=6))
+        assert u.point_norm(prefix) == PadicAbs.one(p)
+
     def test_zero_measure(self):
         z = zero_measure(2, 3)
         assert z.total() == 0
@@ -350,6 +374,21 @@ class TestContinuousIntegration:
         f = digit_weight_map(2, 3)
         assert f.evaluator((1, 0, 1)) == 10
         assert f.oscillation(4) == 4
+
+    @given(st.sampled_from([2, 3, 5]), st.sampled_from([2, 3, 7]), st.lists(st.integers(0, 4), max_size=12))
+    def test_evaluator_against_per_digit_sum(self, q, p, digits):
+        word = tuple(d % q for d in digits)
+        assert digit_weight_map(q, p).evaluator(word) == _per_digit_weight(word, p)
+
+    # the reference route: j_q order, one Fraction per digit
+    @settings(max_examples=30)
+    @given(ALPHABET_PRIMES, st.integers(0, 5))
+    def test_riemann_sum_against_per_digit_route(self, qp, depth):
+        q, p = qp
+        u = UniformMeasure(q, p)
+        words = [decode_jq(i, q, depth) for i in range(q**depth)]
+        expected = sum((_per_digit_weight(w, p) * u.cylinder_mass(w) for w in words), Fraction(0))
+        assert integrate_continuous(u, digit_weight_map(q, p), depth).riemann_sum == expected
 
     def test_uniform_riemann_sums(self):
         u = UniformMeasure(2, 3)

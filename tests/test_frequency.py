@@ -12,6 +12,7 @@ from padicprob.errors import (
     InsufficientData,
     InvalidLabel,
     InvalidTarget,
+    RangeError,
 )
 from padicprob.frequency import (
     _BIT_BLOCK,
@@ -138,6 +139,19 @@ class TestCollective:
                 ask()
             assert str(exc.value) == f"file:{path} holds 4 symbols, 5 requested"
         assert c.count("1", 3) == 1
+
+    def test_generator_blocks_checked(self):
+        with pytest.raises(InvalidLabel) as exc:
+            Collective("01", generator=iter("0123")).prefix(4)
+        assert str(exc.value) == "symbols ['2', '3'] outside alphabet ('0', '1')"
+        c = Collective("01", generator=iter("0110x111"))
+        assert c.count("1", 4) == 2
+        with pytest.raises(InvalidLabel):
+            c.prefix(6)
+        # the symbols after a stray are never served as the sequence's own
+        assert c.prefix(4) == "0110"
+        with pytest.raises(InsufficientData):
+            c.prefix(5)
 
     def test_short_generator_message(self):
         c = Collective("01", generator=iter("0110"), description="four")
@@ -315,6 +329,16 @@ class TestSProbability:
         sel = SequenceSelector(3, "explicit", explicit_terms=(2, 4, 6))
         with pytest.raises(InsufficientData):
             s_probability(c, "1", sel, kmax=3, window=3)
+
+    # window 0 would judge the first row's missing gap, -1 all gaps but the first
+    def test_window_below_one_refused(self):
+        c = Collective.alternating()
+        sel = SequenceSelector(3, "power", t=2)
+        for window in (0, -1):
+            with pytest.raises(RangeError):
+                s_probability(c, "1", sel, kmax=4, window=window, cauchy_threshold=1)
+            with pytest.raises(RangeError):
+                conditional_s_probability(c, "01", "1", sel, kmax=4, window=window)
 
     def test_real_topology_value_is_fraction(self):
         c = Collective.alternating()

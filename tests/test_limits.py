@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicprob.errors import (
@@ -19,7 +19,12 @@ from padicprob.errors import (
     PrecisionExhausted,
     RangeError,
 )
-from padicprob.frequency import Collective, SequenceSelector, checkpoint_forcing_bits
+from padicprob.frequency import (
+    Collective,
+    SequenceSelector,
+    checkpoint_forcing_bits,
+    event_residues,
+)
 from padicprob.limits import (
     BOUND_CHECK_NOTE,
     VERDICT_CONVERGING,
@@ -27,6 +32,7 @@ from padicprob.limits import (
     BernoulliParams,
     SumDistribution,
     _residue_law,
+    _residue_probability,
     ball_probability,
     binom,
     binom_vp,
@@ -57,6 +63,21 @@ from padicprob.series import FormalSeries, cosh_scaled_sq, exp_series, log1p_ser
 SYM3 = symmetric_params(3)
 
 
+def _carry_count(n, r, p):
+    """Kummer's theorem: v_p(C(n, r)) is the number of carries when
+    adding r and n - r in base p."""
+    a, b = r, n - r
+    carries = 0
+    carry = 0
+    while a or b or carry:
+        s = a % p + b % p + carry
+        carry = 1 if s >= p else 0
+        carries += carry
+        a //= p
+        b //= p
+    return carries
+
+
 class TestBinom:
     def test_spots(self):
         assert binom(5, 2) == 10
@@ -68,6 +89,11 @@ class TestBinom:
                 binom(n, r)
             with pytest.raises(RangeError):
                 binom_vp(n, r, 3)
+
+    @given(st.sampled_from([2, 3, 5, 7, 97]), st.integers(0, 10**40), st.data())
+    def test_legendre_matches_carry_count(self, p, n, data):
+        r = data.draw(st.integers(0, n))
+        assert binom_vp(n, r, p) == _carry_count(n, r, p)
 
     def test_carry_count_matches_factorization(self):
         for p in (2, 3, 5):
@@ -752,6 +778,71 @@ class TestRandomnessTest:
         sparse = SequenceSelector(5, "truncation", target=Fraction(7))
         with pytest.raises(DomainError):
             sphere_randomness_test(c, 5, 1, 0, sparse, 2, 6)
+
+
+def _hit_closure(p, depth, center, mode):
+    """The tested event as a hit predicate, written out per mode."""
+    small = p**depth
+    big = small * p
+
+    def sphere_hit(s):
+        d = (s - center) % big
+        return d != 0 and d % small == 0
+
+    def residue_hit(s):
+        return 0 < (s - center) % small < p
+
+    return sphere_hit if mode == "sphere" else residue_hit
+
+
+def _forcing_targets(p, depth, center, mode):
+    """The modulus and sorted targets to steer the forcing sequence to, per mode."""
+    if mode == "sphere":
+        work_mod = p ** (depth + 1)
+        return work_mod, sorted((center + u * p**depth) % work_mod for u in range(1, p))
+    work_mod = p**depth
+    return work_mod, sorted((center + a) % work_mod for a in range(1, p))
+
+
+EVENTS = (
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(0, 3),
+    st.integers(-60, 60),
+    st.sampled_from(["sphere", "residue"]),
+)
+
+
+class TestEventResidues:
+    # at depth 0 every residue mod 1 is 0: the residue predicate never
+    # holds there, while the residue classes hold for every sum; the
+    # tested event needs depth >= 1
+    @given(*EVENTS)
+    def test_against_hit_closures_and_forcing_targets(self, p, depth, center, mode):
+        assume(depth >= 1 or mode == "sphere")
+        mod, residues = event_residues(p, depth, center, mode)
+        hit = _hit_closure(p, depth, center, mode)
+        for s in range(-mod, 2 * mod):
+            assert (s % mod in residues) == hit(s)
+        assert (mod, sorted(residues)) == _forcing_targets(p, depth, center, mode)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([3, 5, 7]), *EVENTS[1:], st.integers(0, 40))
+    def test_probability_is_the_mass_of_the_hits(self, p, depth, center, mode, n):
+        assume(depth >= 1 or mode == "sphere")
+        mod, residues = event_residues(p, depth, center, mode)
+        hit = _hit_closure(p, depth, center, mode)
+        expected = Fraction(sum(comb(n, j) for j in range(n + 1) if hit(j)), 2**n)
+        assert _residue_probability(symmetric_params(p), n, mod, residues) == expected
+        if mode == "sphere":
+            assert sphere_probability(symmetric_params(p), n, depth, center) == expected
+
+    def test_depth_zero_and_argument_checks(self):
+        assert event_residues(3, 0, 1, "sphere") == (3, frozenset({0, 2}))
+        assert event_residues(3, 0, 1, "residue") == (1, frozenset({0}))
+        with pytest.raises(ValueError):
+            event_residues(3, -1, 0, "sphere")
+        with pytest.raises(ValueError):
+            event_residues(3, 1, 0, "digits")
 
 
 class TestCheckpointPatterns:

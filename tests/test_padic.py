@@ -17,10 +17,12 @@ from padicprob.padic import (
     dist_p,
     factorial_vp,
     falling_binomial,
+    from_digits,
     in_ball,
     in_sphere,
     series_eval,
     to_approx,
+    to_digits,
     vp,
 )
 
@@ -297,6 +299,29 @@ class TestSeriesEval:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             series_eval("tanh", to_approx(3, 3, 4))
+
+
+class TestDigits:
+    def test_spot_values(self):
+        assert to_digits(19, 3, 3) == (1, 0, 2)
+        assert to_digits(19, 3, 0) == ()
+        assert to_digits(5, 2, 5) == (1, 0, 1, 0, 0)
+        assert from_digits((), 7) == 0
+        assert from_digits([1, 0, 1, 0, 0], 2) == 5
+
+    @given(st.integers(2, 40), st.integers(0, 12), st.data())
+    def test_roundtrip(self, base, count, data):
+        n = data.draw(st.integers(0, base**count - 1))
+        digits = to_digits(n, base, count)
+        assert len(digits) == count
+        assert all(0 <= d < base for d in digits)
+        assert from_digits(digits, base) == n
+        assert to_digits(from_digits(digits, base), base, count) == digits
+
+    # digits beyond `count` are dropped: to_digits reduces mod base**count
+    @given(st.integers(2, 40), st.integers(0, 12), st.integers(0, 10**30))
+    def test_truncates_mod_base_power(self, base, count, n):
+        assert from_digits(to_digits(n, base, count), base) == n % base**count
 
 
 class TestFactorialHelpers:
