@@ -5,9 +5,9 @@ plotting, JSON lines for pipelines; rationals always serialize as
 num/den, never as floats) and mirrors a one-line verdict summary plus a
 reproducible config echo to stderr.
 
-Exit codes (EXIT_CODES): 0 success, 2 argument or parse problem,
-3 limit-theorem hypothesis violation, 4 insufficient sequence data,
-5 domain/convergence error.
+Exit codes (EXIT_CODES): 0 success, 2 refused argument (RangeError or
+an argparse error), 3 limit-theorem hypothesis violation, 4 insufficient
+data, 5 any other library error (domain, convergence, ...).
 """
 
 from __future__ import annotations
@@ -17,19 +17,10 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import limits
 from .cylinder import UniformMeasure, digit_weight_map, integrate_continuous
-from .errors import (
-    DigitRange,
-    HypothesisViolation,
-    InsufficientData,
-    InvalidLabel,
-    InvalidTarget,
-    PadicProbError,
-    RangeError,
-)
+from .errors import HypothesisViolation, InsufficientData, PadicProbError, RangeError
 from .frequency import Collective, conditional_s_probability, parse_selector, s_probability
 from .padic import DEFAULT_PRECISION, PadicApprox, Prime, abs_p, as_fraction, to_approx, vp
 from .reports import (
@@ -44,21 +35,17 @@ from .reports import (
 
 EXIT_CODES = {"ok": 0, "parse": 2, "hypothesis": 3, "data": 4, "domain": 5}
 
-
-class _UnreadableInput(PadicProbError):
-    """The --input file cannot be opened or read."""
-
-
-#: errors that mean the request itself was malformed
-_PARSE_TYPES = (
-    InvalidTarget,
-    InvalidLabel,
-    RangeError,
-    DigitRange,
-    _UnreadableInput,
-    ValueError,
-    ZeroDivisionError,
+#: the exit code of each error root, tried in order (see errors.py)
+_ERROR_EXITS = (
+    (RangeError, EXIT_CODES["parse"]),
+    (HypothesisViolation, EXIT_CODES["hypothesis"]),
+    (InsufficientData, EXIT_CODES["data"]),
+    (PadicProbError, EXIT_CODES["domain"]),
 )
+
+
+class _UnreadableInput(RangeError):
+    """The --input file cannot be opened or read."""
 
 
 def _default_digits() -> str:
@@ -108,22 +95,16 @@ def _value_repr(value):
     return format_rational(value)
 
 
-def _collective_from_args(args, allow_adversarial=False):
-    if getattr(args, "input", None):
+def _collective_from_args(args):
+    # the source flags form a required group, so one of these is given
+    if args.input is not None:
         try:
             return Collective.from_file(args.input, getattr(args, "alphabet", "01"))
         except OSError as exc:
             raise _UnreadableInput(f"cannot read {args.input}: {exc.strerror or exc}") from None
-    if getattr(args, "periodic", None):
-        return Collective.periodic(args.periodic)
-    if getattr(args, "random_bits", None) is not None:
+    if args.random_bits is not None:
         return Collective.random_bits(args.random_bits)
-    if allow_adversarial and getattr(args, "adversarial", False):
-        p = Prime(args.prime)
-        selector = parse_selector(args.scheme, p)
-        terms = selector.terms(args.kmax)
-        return Collective.checkpoint_forcing(p, args.l, args.r, terms, mode=args.mode)
-    raise ValueError("no input source given")
+    return Collective.periodic(args.periodic)
 
 
 def _add_source_flags(sub, adversarial=False):
@@ -248,21 +229,21 @@ def _cmd_thm32(args):
 
 def _cmd_lln(args):
     p = Prime(args.prime)
-    params = limits.BernoulliParams(p, Fraction(args.q))
+    params = limits.BernoulliParams(p, args.q)
     selector = parse_selector(args.scheme, p)
     traces = limits.mahler_lln_traces(
         params, selector, args.mmax, args.kmax, threshold=args.threshold
     )
-    ordered = [traces[m] for m in sorted(traces)]
-    _emit(_trace_lines(ordered, args.format), args.output)
-    for m in sorted(traces):
-        _summarize_trace(f"lln[m={m}]", traces[m])
+    _emit(_trace_lines(traces.values(), args.format), args.output)
+    for m, trace in traces.items():
+        _summarize_trace(f"lln[m={m}]", trace)
 
 
 def _cmd_clt(args):
-    a = Fraction(args.a)
-    prime = args.prime if args.prime is not None else None
-    series = limits.clt_series(a, args.order, prime)
+    if args.order < 2:
+        raise RangeError(f"clt needs order >= 2 for its z**2 summary, got {args.order}")
+    a = as_fraction(args.a)
+    series = limits.clt_series(a, args.order, args.prime)
     if args.format == "csv":
         lines = table_lines((("k", INT), ("coeff", RATIONAL)), enumerate(series.coeffs), "csv")
     else:
@@ -283,7 +264,7 @@ def _cmd_clt(args):
 def _cmd_mahler(args):
     p = Prime(args.prime)
     if args.clt_check:
-        a = Fraction(args.a)
+        a = as_fraction(args.a)
         count = args.count
         if a == 1:
             report = limits.clt_mahler_bound_check(p, count)
@@ -319,8 +300,8 @@ def _cmd_mahler(args):
         return
     if args.mmax < 0:
         raise RangeError("mmax must be a natural")
-    params = limits.BernoulliParams(p, Fraction(args.q))
-    a = Fraction(args.a)
+    params = limits.BernoulliParams(p, args.q)
+    a = as_fraction(args.a)
     columns = [("m", INT), ("lambda", RATIONAL)]
     rows = [(m, limits.mahler_lambda(params, a, m)) for m in range(args.mmax + 1)]
     if args.n is not None:
@@ -340,8 +321,14 @@ def _cmd_integrate(args):
 
 def _cmd_test(args):
     p = Prime(args.prime)
-    collective = _collective_from_args(args, allow_adversarial=True)
     selector = parse_selector(args.scheme, p)
+    if args.adversarial:
+        # the sequence is built for the test, so the test's side condition comes first
+        limits.check_event_depth(args.l)
+        terms = selector.terms(args.kmax)
+        collective = Collective.checkpoint_forcing(p, args.l, args.r, terms, mode=args.mode)
+    else:
+        collective = _collective_from_args(args)
     result = limits.sphere_randomness_test(
         collective, p, args.l, args.r, selector, args.eps_exp, args.kmax,
         kmin=args.kmin, mode=args.mode,
@@ -485,18 +472,9 @@ def main(argv=None) -> int:
     try:
         with _unlimited_int_text():
             args.func(args)
-    except HypothesisViolation as exc:
-        _say(f"error: {exc}")
-        return EXIT_CODES["hypothesis"]
-    except InsufficientData as exc:
-        _say(f"error: {exc}")
-        return EXIT_CODES["data"]
-    except _PARSE_TYPES as exc:
-        _say(f"error: {exc}")
-        return EXIT_CODES["parse"]
     except PadicProbError as exc:
         _say(f"error: {exc}")
-        return EXIT_CODES["domain"]
+        return next(code for root, code in _ERROR_EXITS if isinstance(exc, root))
     return EXIT_CODES["ok"]
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import AlphabetMismatch, DigitRange, DomainError, OscillationMissing
+from .errors import AlphabetMismatch, DigitRange, DomainError, OscillationMissing, RangeError
 from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction, from_digits, to_digits
 from .reports import INT, RATIONAL, table_lines
 
@@ -216,7 +216,7 @@ class Clopen:
             return True
         if node == {}:
             return False
-        raise ValueError(f"prefix {prefix} too short to decide membership")
+        raise RangeError(f"prefix {prefix} too short to decide membership")
 
     def __eq__(self, other):
         if not isinstance(other, Clopen):
@@ -234,7 +234,7 @@ def format_clopen(c: Clopen) -> str:
     """Text form: semicolon-separated digit words; '*' is the whole
     space, '' the empty set. Single-character digits, so q <= 9."""
     if c.q > 9:
-        raise ValueError("text form supports q <= 9")
+        raise RangeError("text form supports q <= 9")
     if c.is_whole:
         return "*"
     return ";".join("".join(str(d) for d in w) for w in c.words)
@@ -243,7 +243,7 @@ def format_clopen(c: Clopen) -> str:
 def parse_clopen(text: str, q) -> Clopen:
     q = Prime(q)
     if q > 9:
-        raise ValueError("text form supports q <= 9")
+        raise RangeError("text form supports q <= 9")
     s = text.strip()
     if s == "*":
         return Clopen.whole(q)
@@ -271,13 +271,13 @@ class CylinderMeasure:
                 f"uniform splitting by {q} is unbounded {self.prime}-adically; need p != q"
             )
         if depth < 0:
-            raise ValueError("table depth must be >= 0")
+            raise RangeError("table depth must be >= 0")
         self.depth = int(depth)
         table = {}
         for w, val in values.items():
             word = _as_word(w, self.q)
             if len(word) != self.depth:
-                raise ValueError(f"table word {word} not at depth {self.depth}")
+                raise RangeError(f"table word {word} not at depth {self.depth}")
             table[word] = as_fraction(val)
         self.table = table
 
@@ -326,7 +326,7 @@ class CylinderMeasure:
         norm. Needs the prefix to reach the table depth."""
         prefix = _as_word(prefix, self.q)
         if len(prefix) < self.depth:
-            raise ValueError(f"point prefix must reach table depth {self.depth}")
+            raise RangeError(f"point prefix must reach table depth {self.depth}")
         best = None
         for cut in range(len(prefix) + 1):
             norm = self.measure_norm(Clopen(self.q, (prefix[:cut],)))
@@ -371,7 +371,7 @@ class StepFunction:
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 if not (kept[i][0] & kept[j][0]).is_empty:
-                    raise ValueError("step function pieces overlap")
+                    raise RangeError("step function pieces overlap")
         self.pieces = tuple(sorted(kept, key=lambda rv: rv[0].words))
 
     def value_at(self, prefix) -> Fraction:
@@ -428,7 +428,7 @@ def integrate_continuous(
     if f.oscillation is None:
         raise OscillationMissing("continuous integration needs an oscillation bound")
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise RangeError("depth must be >= 0")
     q, p = measure.q, measure.prime
     total = Fraction(0)
     for word in itertools.product(range(q), repeat=depth):

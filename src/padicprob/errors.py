@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from PadicProbError, so callers
-can catch one base class. The CLI maps these onto its documented exit
-codes (see cli.EXIT_CODES).
+Every library error derives from PadicProbError. Four roots decide the
+CLI's exit code (cli.EXIT_CODES): RangeError 2 (also a ValueError, so
+existing `except ValueError` callers keep working), HypothesisViolation 3,
+InsufficientData 4, and any other PadicProbError 5.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 
 class PadicProbError(Exception):
     """Base class for all library errors."""
+
+
+class RangeError(PadicProbError, ValueError):
+    """An argument value the function does not accept."""
 
 
 class DomainError(PadicProbError):
@@ -25,7 +30,7 @@ class PrecisionExhausted(DomainError):
     """An approximate p-adic result retains no significant digits."""
 
 
-class InvalidTarget(PadicProbError):
+class InvalidTarget(RangeError):
     """Selector target is not a p-adic integer (denominator divisible by p)."""
 
 
@@ -37,7 +42,7 @@ class ConditioningOnNull(PadicProbError):
     """Conditional frequency requested where the conditioning count is zero."""
 
 
-class InvalidLabel(PadicProbError):
+class InvalidLabel(RangeError):
     """A symbol outside the declared alphabet appeared in a data source."""
 
 
@@ -45,7 +50,7 @@ class AlphabetMismatch(PadicProbError):
     """Clopen/cylinder operands over different digit alphabets."""
 
 
-class DigitRange(PadicProbError):
+class DigitRange(RangeError):
     """A digit outside 0..q-1 appeared in a word or encoding."""
 
 
@@ -55,10 +60,6 @@ class OscillationMissing(PadicProbError):
 
 class HypothesisViolation(PadicProbError):
     """Limit-theorem side conditions not met by the requested parameters."""
-
-
-class RangeError(PadicProbError):
-    """Binomial coefficient requested outside 0 <= r <= n."""
 
 
 class NoRingStructure(PadicProbError):

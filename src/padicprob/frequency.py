@@ -63,9 +63,9 @@ class Collective:
     def __init__(self, alphabet, symbols="", generator=None, description="collective"):
         self.alphabet = tuple(alphabet)
         if any(len(a) != 1 for a in self.alphabet):
-            raise ValueError("alphabet entries must be single characters")
+            raise RangeError("alphabet entries must be single characters")
         if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet has repeated symbols")
+            raise RangeError("alphabet has repeated symbols")
         # deleting the alphabet leaves only the stray symbols
         self._drop_alphabet = str.maketrans("", "", "".join(self.alphabet))
         if isinstance(symbols, str):
@@ -108,7 +108,7 @@ class Collective:
     @classmethod
     def periodic(cls, word, alphabet=None) -> "Collective":
         if not word:
-            raise ValueError("periodic word must be nonempty")
+            raise RangeError("periodic word must be nonempty")
         if alphabet is None:
             alphabet = "01" if set(word) <= {"0", "1"} else "".join(sorted(set(word)))
         # the first period goes in as symbols, so __init__ checks the alphabet
@@ -156,7 +156,7 @@ class Collective:
     def _fill(self, n: int) -> None:
         """Hold at least n symbols, or raise InsufficientData (InvalidLabel on a stray)."""
         if n < 0:
-            raise ValueError("prefix length must be >= 0")
+            raise RangeError("prefix length must be >= 0")
         need = n - len(self._buf)
         if need > 0 and self._gen is not None:
             more = "".join(itertools.islice(self._gen, need))
@@ -195,7 +195,7 @@ class Collective:
 def relative_frequency(collective: Collective, labels, n: int) -> Fraction:
     """nu_N(A) = (occurrences of A among the first N symbols) / N."""
     if n < 1:
-        raise ValueError("frequency needs N >= 1")
+        raise RangeError("frequency needs N >= 1")
     return Fraction(collective.count(labels, n), n)
 
 
@@ -209,19 +209,19 @@ def event_residues(prime, depth: int, center: int, mode: str) -> tuple[int, froz
     """
     p = Prime(prime)
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise RangeError("depth must be >= 0")
     small = p**depth
     if mode == "sphere":
         return small * p, frozenset((center + u * small) % (small * p) for u in range(1, p))
     if mode == "residue":
         return small, frozenset((center + a) % small for a in range(1, p))
-    raise ValueError(f"unknown mode {mode!r}")
+    raise RangeError(f"unknown mode {mode!r}")
 
 
 def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
     """Forward-fill a 0/1 sequence so that at every checkpoint N in
     terms the partial sum hits the tested event (see event_residues)
-    exactly. Raises ValueError if some gap is too short to steer the sum.
+    exactly. Raises RangeError if some gap is too short to steer the sum.
     """
     mod, targets = event_residues(prime, int(depth), int(center), mode)
     out = []
@@ -229,12 +229,12 @@ def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
     pos = 0
     for n in terms:
         if n <= pos:
-            raise ValueError("checkpoints must be strictly increasing")
+            raise RangeError("checkpoints must be strictly increasing")
         gap = n - pos
         deltas = sorted((t - s) % mod for t in targets)
         delta = next((d for d in deltas if d <= gap), None)
         if delta is None:
-            raise ValueError(
+            raise RangeError(
                 f"cannot steer sum to a target at checkpoint {n}: gap {gap} < {deltas[0]}"
             )
         out.append("1" * delta + "0" * (gap - delta))
@@ -266,11 +266,11 @@ class SequenceSelector:
     def __post_init__(self):
         object.__setattr__(self, "prime", Prime(self.prime))
         if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise RangeError(f"unknown scheme {self.scheme!r}")
         if self.target is not None:
             object.__setattr__(self, "target", as_fraction(self.target))
         if self.scheme in ("affine", "truncation", "power") and self.t < 1:
-            raise ValueError("t must be a natural >= 1")
+            raise RangeError("t must be a natural >= 1")
         if self.scheme == "affine":
             m = self.target
             if m is None or m.denominator != 1 or m < 0:
@@ -278,10 +278,6 @@ class SequenceSelector:
         elif self.scheme == "truncation":
             if self.target is None:
                 raise InvalidTarget("truncation scheme needs a target")
-            if vp(self.target, self.prime) < 0:
-                raise InvalidTarget(
-                    f"target {self.target} is not a {self.prime}-adic integer"
-                )
         elif self.scheme == "power":
             if self.target not in (None, 0):
                 raise InvalidTarget("power scheme converges to 0")
@@ -289,22 +285,20 @@ class SequenceSelector:
         else:
             terms = tuple(int(n) for n in self.explicit_terms)
             if not terms:
-                raise ValueError("explicit scheme needs terms")
+                raise RangeError("explicit scheme needs terms")
             if any(n < 1 for n in terms):
-                raise ValueError("sample sizes must be naturals >= 1")
+                raise RangeError("sample sizes must be naturals >= 1")
             if len(set(terms)) != len(terms):
-                raise ValueError("sample sizes must be distinct")
+                raise RangeError("sample sizes must be distinct")
             object.__setattr__(self, "explicit_terms", terms)
-            if self.target is not None and vp(self.target, self.prime) < 0:
-                raise InvalidTarget(
-                    f"target {self.target} is not a {self.prime}-adic integer"
-                )
+        if self.target is not None and vp(self.target, self.prime) < 0:
+            raise InvalidTarget(f"target {self.target} is not a {self.prime}-adic integer")
 
     def terms(self, kmax: int) -> list[int]:
         """The first kmax usable sample sizes; zero or repeated
         truncation representatives are skipped with a log note."""
         if kmax < 1:
-            raise ValueError("kmax must be >= 1")
+            raise RangeError("kmax must be >= 1")
         p = self.prime
         if self.scheme == "affine":
             m = int(self.target)
@@ -356,15 +350,15 @@ def parse_selector(text: str, prime) -> SequenceSelector:
         return SequenceSelector(prime, "power", t=int(m.group(1) or 1))
     m = _TRUNC_RE.match(s)
     if m:
-        return SequenceSelector(prime, "truncation", target=Fraction(m.group(1)))
+        return SequenceSelector(prime, "truncation", target=as_fraction(m.group(1)))
     m = _LIST_RE.match(s)
     if m:
         try:
             terms = tuple(int(x) for x in m.group(1).split(","))
         except ValueError:
-            raise ValueError(f"bad explicit term list in {text!r}") from None
+            raise RangeError(f"bad explicit term list in {text!r}") from None
         return SequenceSelector(prime, "explicit", explicit_terms=terms)
-    raise ValueError(f"cannot parse selector {text!r}")
+    raise RangeError(f"cannot parse selector {text!r}")
 
 
 def range_ball(selector: SequenceSelector) -> Ball | None:
@@ -424,7 +418,7 @@ def decimal_exponent(x: Fraction) -> int:
     """
     num, den = abs(Fraction(x)).numerator, abs(Fraction(x)).denominator
     if num == 0:
-        raise ValueError("zero has no finite decimal exponent")
+        raise RangeError("zero has no finite decimal exponent")
     e = 0
     if _le_pow10(num, den, 0):
         while _le_pow10(num, den, e + 1):
@@ -446,7 +440,7 @@ def _gap_exponent(gap: Fraction, prime, topology: str):
 def _window_terms(selector: SequenceSelector, kmax: int, window: int, topology: str):
     """The selector's first kmax usable terms, enough for the Cauchy window."""
     if topology not in ("padic", "real"):
-        raise ValueError(f"unknown topology {topology!r}")
+        raise RangeError(f"unknown topology {topology!r}")
     if window < 1:
         raise RangeError(f"the Cauchy window needs at least one gap, got {window}")
     terms = selector.terms(kmax)

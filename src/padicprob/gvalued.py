@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoRingStructure, NotInvertible, RegionNotSignificant
+from .errors import NoRingStructure, NotInvertible, RangeError, RegionNotSignificant
 from .padic import Prime, abs_p, as_fraction
 
 PRACTICALLY_IMPOSSIBLE = "PracticallyImpossible"
@@ -140,7 +140,7 @@ class ProductContext(GroupContext):
 
     def __init__(self, *components: GroupContext):
         if not components:
-            raise ValueError("product of zero contexts")
+            raise RangeError("product of zero contexts")
         self.components = tuple(components)
         self.tag = "product(" + ",".join(c.tag for c in self.components) + ")"
         self.is_ring = all(c.is_ring for c in self.components)
@@ -148,7 +148,7 @@ class ProductContext(GroupContext):
     def coerce(self, x):
         xs = tuple(x)
         if len(xs) != len(self.components):
-            raise ValueError(
+            raise RangeError(
                 f"{self.tag} elements have {len(self.components)} components, got {len(xs)}"
             )
         return tuple(c.coerce(v) for c, v in zip(self.components, xs))
@@ -193,7 +193,7 @@ def context_from_tag(tag: str) -> GroupContext:
         return RationalRealContext()
     if tag.startswith("padic:"):
         return RationalPadicContext(int(tag.split(":", 1)[1]))
-    raise ValueError(f"unknown context tag {tag!r}")
+    raise RangeError(f"unknown context tag {tag!r}")
 
 
 class GDistribution:
@@ -209,15 +209,15 @@ class GDistribution:
         self.context = context
         items = list(weights.items() if hasattr(weights, "items") else weights)
         if not items:
-            raise ValueError("distribution needs at least one outcome")
+            raise RangeError("distribution needs at least one outcome")
         self.outcomes = tuple(om for om, _ in items)
         if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("repeated outcome")
+            raise RangeError("repeated outcome")
         self._w = {om: context.coerce(w) for om, w in items}
         if range_check is not None:
             bad = [om for om in self.outcomes if not range_check(self._w[om])]
             if bad:
-                raise ValueError(f"weights at {bad} outside the declared range set")
+                raise RangeError(f"weights at {bad} outside the declared range set")
 
     def weight(self, outcome):
         return self._w[outcome]
@@ -229,7 +229,7 @@ class GDistribution:
         seen = set()
         for om in event:
             if om in seen:
-                raise ValueError(f"repeated outcome {om!r} in event")
+                raise RangeError(f"repeated outcome {om!r} in event")
             seen.add(om)
             total = ctx.add(total, self._w[om])
         return total
@@ -241,7 +241,7 @@ class GDistribution:
 
     def to_json(self) -> str:
         if isinstance(self.context, ProductContext):
-            raise ValueError("JSON form covers rational-weight contexts only")
+            raise RangeError("JSON form covers rational-weight contexts only")
         return json.dumps(
             {
                 "context": self.context.tag,
@@ -261,7 +261,7 @@ class GDistribution:
         outcomes = data["outcomes"]
         weights = [Fraction(w) for w in data["weights"]]
         if len(outcomes) != len(weights):
-            raise ValueError("outcomes and weights differ in length")
+            raise RangeError("outcomes and weights differ in length")
         return cls(ctx, list(zip(outcomes, weights)))
 
     def __repr__(self):
@@ -273,7 +273,7 @@ def powerset_field(outcomes) -> tuple[frozenset, ...]:
     """All subsets of a small outcome set, smallest first."""
     oms = tuple(outcomes)
     if len(oms) > 16:
-        raise ValueError("power set limited to 16 outcomes")
+        raise RangeError("power set limited to 16 outcomes")
     out = []
     for mask in range(1 << len(oms)):
         out.append(frozenset(om for i, om in enumerate(oms) if mask >> i & 1))
@@ -331,7 +331,7 @@ def unit_axiom_check(d: GDistribution, family) -> UnitAxiomReport:
         if sup is None or r > sup:
             sup, witness = r, a
     if sup is None:
-        raise ValueError("empty family")
+        raise RangeError("empty family")
     return UnitAxiomReport(sup == expected, sup, expected, witness)
 
 
@@ -341,7 +341,7 @@ def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
     sum over x1 + x2 = s of w1(x1) w2(x2); totals multiply."""
     ctx = m1.context
     if m2.context.tag != ctx.tag:
-        raise ValueError(f"mismatched contexts {ctx.tag} vs {m2.context.tag}")
+        raise RangeError(f"mismatched contexts {ctx.tag} vs {m2.context.tag}")
     if not ctx.is_ring:
         raise NoRingStructure(f"convolution needs ring weights; context {ctx.tag}")
     acc: dict = {}
@@ -383,7 +383,7 @@ class SignificanceNeighborhood:
         self.context = context
         self.epsilon = as_fraction(epsilon)
         if self.epsilon <= 0:
-            raise ValueError("significance radius must be positive")
+            raise RangeError("significance radius must be positive")
 
     def contains(self, value) -> bool:
         return self.context.rho(value) < self.epsilon
@@ -433,7 +433,7 @@ class CriticalRegionTest:
 
     def run(self, outcome) -> RegionTestResult:
         if outcome not in self.distribution.outcomes:
-            raise ValueError(f"outcome {outcome!r} outside the experiment")
+            raise RangeError(f"outcome {outcome!r} outside the experiment")
         hit = tuple(r for r in self.regions if outcome in r.event)
         if not hit:
             return RegionTestResult(False, None, ())

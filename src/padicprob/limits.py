@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .errors import (
     DomainError,
     HypothesisViolation,
+    InsufficientData,
     OrderError,
     PrecisionExhausted,
     RangeError,
@@ -86,7 +87,7 @@ def padic_binomial_coeff(a, m: int, prime=None) -> PadicApprox:
             )
         return PadicApprox.from_rational_abs(falling_binomial(a.rational_rep(), m), p, out_prec)
     if prime is None:
-        raise ValueError("exact arguments need the prime passed explicitly")
+        raise RangeError("exact arguments need the prime passed explicitly")
     p = Prime(prime)
     a = as_fraction(a)
     if vp(a, p) < 0:
@@ -130,7 +131,7 @@ class SumDistribution:
 
     def __init__(self, n: int, params: BernoulliParams):
         if n < 0:
-            raise ValueError("n must be a natural")
+            raise RangeError("n must be a natural")
         self.n = n
         self.params = params
 
@@ -199,7 +200,7 @@ def ball_probability(params: BernoulliParams, n: int, depth: int, center: int) -
     the residue law mod p**depth. That law comes from binary powering
     when p**(3 depth) <= n and from one walk over the terms otherwise."""
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise RangeError("depth must be >= 0")
     return _residue_probability(params, n, params.prime**depth, [center])
 
 
@@ -281,6 +282,8 @@ def _judge(vals, threshold: int) -> str:
 
 
 def _distance_trace(tag, p, target, terms, value_fn, threshold, params) -> ConvergenceTrace:
+    if not terms:
+        raise InsufficientData("the selector yields no usable terms")
     rows = []
     for k, n in enumerate(terms, start=1):
         value = value_fn(n)
@@ -419,6 +422,8 @@ def mahler_lambda(params: BernoulliParams, a, m: int):
 def empirical_mahler_row(params: BernoulliParams, n: int, mmax: int) -> list[Fraction]:
     """E[C(S_n, m)] for m = 0..mmax by the closed form (1-q)**m C(n, m):
     C(S_n, m) counts the m-subsets of trials that all give 1."""
+    if n < 0:
+        raise RangeError("n must be a natural")
     if mmax < 0:
         raise RangeError("mmax must be a natural")
     qp = params.q_prime
@@ -443,39 +448,30 @@ def mahler_lln_traces(
     """Law of large numbers in Mahler coordinates: for each m the
     empirical coefficient along N_k converges p-adically to
     (1-q)**m C(a, m), a the selector's target."""
+    if mmax < 0:
+        raise RangeError("mmax must be a natural")
     if selector.target is None:
-        raise ValueError("the selector must carry the limit target a")
+        raise RangeError("the selector must carry the limit target a")
     p = params.prime
     if p != selector.prime:
-        raise ValueError("selector and parameters disagree on the prime")
+        raise RangeError("selector and parameters disagree on the prime")
     a = selector.target
     terms = selector.terms(kmax)
-    rows_by_m: dict[int, list[TraceRow]] = {m: [] for m in range(mmax + 1)}
-    targets = {m: mahler_lambda(params, a, m) for m in range(mmax + 1)}
-    for k, n in enumerate(terms, start=1):
-        empirical = empirical_mahler_row(params, n, mmax)
-        for m in range(mmax + 1):
-            diff = empirical[m] - targets[m]
-            rows_by_m[m].append(TraceRow(k, n, empirical[m], vp(diff, p)))
-    out = {}
-    for m in range(mmax + 1):
-        rows = tuple(rows_by_m[m])
-        verdict = _judge([r.distance_exponent for r in rows], threshold)
-        out[m] = ConvergenceTrace(
-            "mahler-lln",
-            rows,
-            targets[m],
-            verdict,
-            {
-                "prime": int(p),
-                "q": format_rational(params.q),
-                "a": format_rational(a),
-                "m": m,
-                "selector": selector.describe(),
-                "threshold": threshold,
-            },
+    meta = {
+        "prime": int(p),
+        "q": format_rational(params.q),
+        "a": format_rational(a),
+        "selector": selector.describe(),
+        "threshold": threshold,
+    }
+    qp = params.q_prime
+    return {
+        m: _distance_trace(
+            "mahler-lln", p, mahler_lambda(params, a, m), terms,
+            lambda n, m=m: qp**m * comb(n, m), threshold, dict(meta, m=m),
         )
-    return out
+        for m in range(mmax + 1)
+    }
 
 
 # -- central-limit series --------------------------------------------------
@@ -487,11 +483,11 @@ def clt_series(a, order: int, prime=None) -> FormalSeries:
     needs no prime; other exponents must be p-adic units (the even
     coefficients divide by a**k)."""
     if order % 2 != 0:
-        raise ValueError("truncation order must be even")
+        raise RangeError("truncation order must be even")
     a = as_fraction(a)
     if a.denominator != 1 or a < 1:
         if prime is None:
-            raise ValueError("non-natural exponents need the prime for the unit check")
+            raise RangeError("non-natural exponents need the prime for the unit check")
         if a == 0 or vp(a, Prime(prime)) != 0:
             raise DomainError("exponent must be a p-adic unit")
     return cosh_scaled_sq(a, order).padic_power(a)
@@ -610,6 +606,12 @@ class RandomnessResult:
         return self.verdict in ("PersistentHit", "Rejected")
 
 
+def check_event_depth(depth: int) -> None:
+    """Side condition of the sphere randomness test (depth >= 1)."""
+    if depth < 1:
+        raise HypothesisViolation("the tested event needs depth >= 1")
+
+
 def sphere_randomness_test(
     collective: Collective,
     prime,
@@ -634,13 +636,12 @@ def sphere_randomness_test(
     DomainError: the test cannot run at this eps.
     """
     p = Prime(prime)
-    if depth < 1:
-        raise HypothesisViolation("the tested event needs depth >= 1")
+    check_event_depth(depth)
     mod, residues = event_residues(p, depth, center, mode)
     if not set(collective.alphabet) <= {"0", "1"}:
-        raise ValueError("the sum test runs on 0/1 sequences")
+        raise RangeError("the sum test runs on 0/1 sequences")
     if kmin < 1 or kmax < kmin:
-        raise ValueError("need 1 <= kmin <= kmax")
+        raise RangeError("need 1 <= kmin <= kmax")
     params = symmetric_params(p)
     all_terms = selector.terms(kmax)
     if len(all_terms) < kmax:
@@ -700,7 +701,7 @@ def _pattern_numerators(prime, depth, center, terms, mode) -> tuple[dict, int]:
     pos = 0
     for n in terms:
         if n <= pos:
-            raise ValueError("checkpoints must be strictly increasing")
+            raise RangeError("checkpoints must be strictly increasing")
         counts = _residue_law(1, 2, n - pos, mod)
         nxt: dict[tuple[int, tuple[bool, ...]], int] = defaultdict(int)
         if n == terms[-1]:

@@ -16,10 +16,11 @@ Conventions:
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError, PrecisionExhausted, RangeError
 
 Rat = Union[int, Fraction]
 
@@ -70,7 +71,7 @@ class Prime(int):
         >>> Prime(9)
         Traceback (most recent call last):
             ...
-        ValueError: 9 is not prime
+        padicprob.errors.RangeError: 9 is not prime
     """
 
     def __new__(cls, value):
@@ -78,9 +79,9 @@ class Prime(int):
             return value
         n = int(value)
         if n >= _PRIME_LIMIT:
-            raise ValueError(f"primality check limited to inputs < 2**64, got {n}")
+            raise RangeError(f"primality check limited to inputs < 2**64, got {n}")
         if not _is_prime_u64(n):
-            raise ValueError(f"{n} is not prime")
+            raise RangeError(f"{n} is not prime")
         return super().__new__(cls, n)
 
 
@@ -88,14 +89,21 @@ def as_fraction(x) -> Fraction:
     """Coerce an int, Fraction or 'num/den' string to an exact Fraction.
 
     Floats are rejected: they carry binary rounding error and this
-    library promises exact arithmetic.
+    library promises exact arithmetic. A string Fraction cannot read, or
+    one in exponent notation (which Fraction expands however large),
+    raises RangeError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if re.search(r"[\d.][eE]", x):  # 1e5, 1.E5, .5e-3
+            raise RangeError(f"exponent notation is not accepted: {x!r}")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RangeError(str(exc)) from None
     raise TypeError(f"expected int, Fraction or rational string, got {type(x).__name__}")
 
 
@@ -168,7 +176,7 @@ class PadicAbs:
         if not isinstance(other, PadicAbs):
             raise TypeError("can only combine PadicAbs with PadicAbs")
         if other.prime != self.prime:
-            raise ValueError("mismatched primes")
+            raise RangeError("mismatched primes")
         return other
 
     def __mul__(self, other):
@@ -339,12 +347,12 @@ class PadicApprox:
         self.digits = tuple(int(d) for d in digits)
         self.exact_zero = bool(exact_zero)
         if self.exact_zero and (self.digits or self.valuation != 0):
-            raise ValueError("exact zero carries no digits and valuation 0")
+            raise RangeError("exact zero carries no digits and valuation 0")
         if self.digits:
             if self.digits[0] == 0:
-                raise ValueError("leading digit must be nonzero")
+                raise RangeError("leading digit must be nonzero")
             if any(not 0 <= d < self.prime for d in self.digits):
-                raise ValueError("digit outside 0..p-1")
+                raise RangeError("digit outside 0..p-1")
 
     # -- constructors ---------------------------------------------------
 
@@ -358,7 +366,7 @@ class PadicApprox:
         p = Prime(p)
         x = as_fraction(x)
         if digits < 1:
-            raise ValueError("need at least one digit")
+            raise RangeError("need at least one digit")
         if x == 0:
             return cls.zero(p)
         v = vp(x, p)
@@ -429,8 +437,7 @@ class PadicApprox:
 
     def agrees_with(self, other: "PadicApprox") -> bool:
         """Congruence modulo the smaller of the two absolute precisions."""
-        if other.prime != self.prime:
-            raise ValueError("mismatched primes")
+        self._coerce(other)
         m = min(self.abs_precision, other.abs_precision)
         if m == math.inf:
             return True
@@ -441,7 +448,7 @@ class PadicApprox:
     def _coerce(self, other) -> "PadicApprox":
         if isinstance(other, PadicApprox):
             if other.prime != self.prime:
-                raise ValueError("mismatched primes")
+                raise RangeError("mismatched primes")
             return other
         raise TypeError("expected PadicApprox; use mul_rational/add for exact scalars")
 
@@ -489,7 +496,7 @@ class PadicApprox:
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
+            raise RangeError("only nonnegative integer powers")
         if n == 0:
             return PadicApprox.from_rational(1, self.prime, DEFAULT_PRECISION)
         out = None
@@ -620,7 +627,7 @@ def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
         0
     """
     if kind not in SERIES_KINDS:
-        raise ValueError(f"unknown series {kind!r}; choose from {SERIES_KINDS}")
+        raise RangeError(f"unknown series {kind!r}; choose from {SERIES_KINDS}")
     if not isinstance(x, PadicApprox):
         raise TypeError("series_eval expects a PadicApprox argument")
     p = x.prime
@@ -650,10 +657,10 @@ def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
 
     # binomial: (1 + x)**a = sum_m C(a, m) x**m
     if a is None:
-        raise ValueError("binomial series needs the exponent a")
+        raise RangeError("binomial series needs the exponent a")
     if isinstance(a, PadicApprox):
         if a.prime != p:
-            raise ValueError("mismatched primes between x and a")
+            raise RangeError("mismatched primes between x and a")
         if a.exact_zero:
             a_rep: Fraction = Fraction(0)
             a_prec: int | float = math.inf

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, OrderError
+from .errors import DomainError, OrderError, RangeError
 from .padic import as_fraction
 
 
@@ -19,7 +19,7 @@ class FormalSeries:
     def __init__(self, coeffs):
         self.coeffs = tuple(as_fraction(c) for c in coeffs)
         if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
+            raise RangeError("series needs at least the constant coefficient")
 
     @property
     def order(self) -> int:
@@ -78,7 +78,7 @@ class FormalSeries:
 
     def integer_power(self, n: int) -> "FormalSeries":
         if not isinstance(n, int) or n < 0:
-            raise ValueError("integer_power needs n >= 0")
+            raise RangeError("integer_power needs n >= 0")
         out = one(self.order)
         base = self
         while n:
@@ -135,7 +135,7 @@ def one(order: int) -> FormalSeries:
 
 def identity(order: int) -> FormalSeries:
     if order < 1:
-        raise ValueError("identity needs order >= 1")
+        raise RangeError("identity needs order >= 1")
     return FormalSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1))
 
 

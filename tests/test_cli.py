@@ -1,12 +1,17 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padicprob
 from padicprob.cli import EXIT_CODES, main
@@ -70,6 +75,15 @@ class TestValuation:
         rc, _, err = run(capsys, ["valuation", "twelve", "--prime", "3"])
         assert rc == EXIT_CODES["parse"]
         assert "error:" in err
+
+    def test_exponent_notation_refused_at_once(self, capsys):
+        # Fraction("1e99999999") would build a 10**8-digit integer
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["valuation", "1e99999999", "--prime", "3"])
+        assert time.perf_counter() - start < 1
+        assert rc == EXIT_CODES["parse"]
+        assert out == ""
+        assert "error: exponent notation is not accepted: '1e99999999'" in err
 
     def test_config_echo(self, capsys):
         _, _, err = run(capsys, ["valuation", "12", "--prime", "3"])
@@ -149,6 +163,22 @@ class TestTraceCommands:
         rc, _, _ = run(capsys, ["thm32", "--prime", "3", "--r", "0", "--l", "1"])
         assert rc == EXIT_CODES["hypothesis"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm31", "--prime", "3", "--m", "2", "--r", "1", "--l", "1", "--scheme", "trunc(0)"],
+            ["lln", "--prime", "3", "--scheme", "trunc(0)"],
+        ],
+        ids=["thm31", "lln"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_selector_without_terms(self, capsys, argv, fmt):
+        # trunc(0) yields no sample sizes: no header, no verdict, no traceback
+        rc, out, err = run(capsys, argv + ["--format", fmt])
+        assert rc == EXIT_CODES["data"] == 4
+        assert out == ""
+        assert err.splitlines()[-1] == "error: the selector yields no usable terms"
+
     def test_lln(self, capsys):
         rc, out, err = run(
             capsys,
@@ -179,6 +209,20 @@ class TestCltAndMahler:
         assert rc == EXIT_CODES["parse"]  # prime needed for non-natural exponents
         rc, _, _ = run(capsys, ["clt", "--order", "7"])
         assert rc == EXIT_CODES["parse"]
+
+    @pytest.mark.parametrize("extra", [[], ["--a", "0", "--prime", "3"]], ids=["a=1", "a=0"])
+    @pytest.mark.parametrize("order", ["-2", "0", "1"])
+    def test_clt_order_below_two(self, capsys, order, extra):
+        # the summary reads the z**2 coefficient; refuse before the table
+        rc, out, err = run(capsys, ["clt", "--order", order, *extra])
+        assert rc == EXIT_CODES["parse"]
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: clt needs order >= 2 for its z**2 summary, got {order}"
+
+    def test_clt_check_count_zero(self, capsys):
+        rc, out, _ = run(capsys, ["mahler", "--prime", "3", "--clt-check", "--count", "0"])
+        assert rc == 0
+        assert out == "m,lambda_num,lambda_den,vp\n0,1,1,0\n"
 
     def test_mahler_table(self, capsys):
         rc, out, _ = run(capsys, ["mahler", "--prime", "3", "--mmax", "3", "--n", "4"])
@@ -213,6 +257,7 @@ class TestCltAndMahler:
             (["--clt-check", "--count", "-1", "--a", "1/2"], "error: count must be a natural"),
             (["--mmax", "-1"], "error: mmax must be a natural"),
             (["--mmax", "-1", "--n", "4"], "error: mmax must be a natural"),
+            (["--n", "-1"], "error: n must be a natural"),
         ],
     )
     def test_negative_size_refused(self, capsys, argv, message):
@@ -307,6 +352,24 @@ class TestRandomness:
              "--scheme", "1+p^k", "--eps-exp", "2", "--kmax", "6"],
         )
         assert rc == EXIT_CODES["data"]
+
+    @pytest.mark.parametrize(
+        "source", [["--adversarial"], ["--periodic", "0"], ["--random-bits", "1"], ["--input"]],
+        ids=["adversarial", "periodic", "random-bits", "input"],
+    )
+    def test_depth_below_one_is_a_hypothesis_violation(self, capsys, tmp_path, source):
+        if source == ["--input"]:
+            path = tmp_path / "bits.txt"
+            path.write_text("0110" * 30)
+            source = ["--input", str(path)]
+        rc, out, err = run(
+            capsys,
+            ["test", *source, "--prime", "3", "--l", "-1", "--r", "0",
+             "--scheme", "1+p^k", "--eps-exp", "2", "--kmax", "3"],
+        )
+        assert rc == EXIT_CODES["hypothesis"] == 3
+        assert out == ""
+        assert err.splitlines()[-1] == "error: the tested event needs depth >= 1"
 
     def test_bad_scheme(self, capsys):
         rc, _, _ = run(
@@ -433,6 +496,99 @@ class TestPlumbing:
             main(["entropy"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# -- the exit contract, over generated argument lists ---------------------
+
+BITS = "<bits file>"  # replaced by a real file of symbols in the test
+SMALL = st.integers(-2, 4).map(str)
+PRIMES = st.sampled_from(["2", "3", "5", "0", "1", "4", "-3"])
+RATIONALS = st.sampled_from(["1/2", "1/3", "2/5", "0", "1", "-1", "3", "1.5", "1/0", "abc", "1e3"])
+SCHEMES = st.sampled_from([
+    "1+p^k", "2+p^k", "p^k", "2*p^k", "trunc(0)", "trunc(-1)", "trunc(1/2)", "trunc(1/0)",
+    "list:3,2", "list:1,2,3,4", "bogus",
+])
+
+
+def _flags(required, optional=None):
+    """Every required flag and any subset of the optional ones (and --format)."""
+    optional = dict(optional or {}, **{"--format": st.sampled_from(["csv", "json"])})
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda d: [tok for flag, value in d.items() for tok in (flag, value)]
+    )
+
+
+def _command(*parts):
+    return st.tuples(*parts).map(lambda ps: [tok for part in ps for tok in part])
+
+
+def _sources(adversarial=False):
+    sources = [
+        st.tuples(st.just("--periodic"), st.sampled_from(["0", "01", "011", "0120", "2"])),
+        st.tuples(st.just("--random-bits"), st.sampled_from(["1", "7"])),
+        st.tuples(st.just("--input"), st.sampled_from([BITS, BITS + ".absent"])),
+    ]
+    if adversarial:
+        sources.append(st.just(("--adversarial",)))
+    return st.one_of(sources).map(list)
+
+
+TRACE_FLAGS = {"--t": SMALL, "--kmax": SMALL, "--threshold": SMALL}
+ARGV = st.one_of(
+    _command(st.just(["valuation"]), RATIONALS.map(lambda v: [v]),
+             _flags({"--prime": PRIMES}, {"--digits": SMALL})),
+    _command(st.just(["freq"]), _sources(), _flags(
+        {"--labels": st.sampled_from(["0", "1", "2", "12"]), "--prime": PRIMES, "--scheme": SCHEMES},
+        {"--given": st.sampled_from(["1", "12", "2"]), "--kmax": SMALL, "--window": SMALL,
+         "--threshold": SMALL, "--topology": st.sampled_from(["padic", "real"])},
+    )),
+    _command(st.just(["thm31"]), _flags(
+        {"--prime": PRIMES, "--m": SMALL, "--r": SMALL, "--l": SMALL},
+        dict(TRACE_FLAGS, **{"--scheme": SCHEMES}),
+    )),
+    _command(st.just(["eq5"]), _flags({"--prime": PRIMES}, TRACE_FLAGS)),
+    _command(st.just(["thm32"]), _flags({"--prime": PRIMES, "--r": SMALL, "--l": SMALL}, TRACE_FLAGS)),
+    _command(st.just(["lln"]), _flags(
+        {"--prime": PRIMES, "--scheme": SCHEMES},
+        {"--q": RATIONALS, "--mmax": SMALL, "--kmax": SMALL, "--threshold": SMALL},
+    )),
+    _command(st.just(["clt"]), _flags({}, {"--a": RATIONALS, "--order": SMALL, "--prime": PRIMES})),
+    _command(st.just(["mahler"]), st.sampled_from([[], ["--clt-check"]]), _flags(
+        {"--prime": PRIMES},
+        {"--q": RATIONALS, "--a": RATIONALS, "--mmax": SMALL, "--n": SMALL, "--count": SMALL},
+    )),
+    _command(st.just(["integrate"]), _flags({"--q": SMALL, "--prime": PRIMES}, {"--depth": SMALL})),
+    _command(st.just(["test"]), _sources(adversarial=True), _flags(
+        {"--prime": PRIMES, "--l": SMALL, "--r": SMALL, "--scheme": SCHEMES, "--eps-exp": SMALL,
+         "--kmax": SMALL},
+        {"--kmin": SMALL, "--mode": st.sampled_from(["sphere", "residue"])},
+    )),
+)
+
+
+@pytest.fixture(scope="module")
+def bits_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "bits.txt"
+    path.write_text("0110" * 100)
+    return str(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGV)
+def test_exit_contract(bits_file, argv):
+    # every outcome is a documented exit code, and a refused run writes no report
+    argv = [tok.replace(BITS, bits_file) for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refused the list
+            assert exc.code == 2
+            return
+    assert rc in EXIT_CODES.values()
+    if rc:
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
 
 
 # Every subcommand in both formats, with its guard exits: the exit code and

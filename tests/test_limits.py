@@ -333,6 +333,13 @@ class TestBallTraces:
         with pytest.raises(HypothesisViolation):
             binomial_ball_trace(3, 2, 1, 0)
 
+    def test_selector_without_terms(self):
+        # trunc(0) skips every representative: a trace of no rows has no verdict
+        sel = SequenceSelector(3, "truncation", target=0)
+        assert sel.terms(6) == []
+        with pytest.raises(InsufficientData, match="no usable terms"):
+            binomial_ball_trace(3, 2, 1, 1, selector=sel)
+
     def test_custom_selector(self):
         sel = SequenceSelector(3, "affine", target=Fraction(2), t=2)
         t = binomial_ball_trace(3, 2, 1, 1, kmax=4, selector=sel)
@@ -502,6 +509,13 @@ class TestEmpiricalMahler:
         with pytest.raises(RangeError):
             empirical_mahler_row(SYM3, 4, -1)
 
+    def test_negative_n_refused(self):
+        # math.comb would raise a bare ValueError here
+        with pytest.raises(RangeError, match="n must be a natural"):
+            empirical_mahler_row(SYM3, -1, 3)
+        with pytest.raises(RangeError, match="n must be a natural"):
+            empirical_mahler(SYM3, -1, 0)
+
 
 class TestMahlerLln:
     def test_frozen_traces(self):
@@ -534,6 +548,22 @@ class TestMahlerLln:
         assert traces[0].target == 1
         assert traces[1].target == 0
         assert traces[2].target == 0
+
+    def test_matches_empirical_coefficients(self):
+        sel = SequenceSelector(5, "affine", target=Fraction(2))
+        params = BernoulliParams(5, Fraction(1, 3))
+        traces = mahler_lln_traces(params, sel, 3, 4)
+        for m, t in traces.items():
+            assert [r.value for r in t.rows] == [empirical_mahler(params, n, m) for n in sel.terms(4)]
+            assert t.params["m"] == m
+
+    def test_no_terms_is_insufficient_data(self):
+        with pytest.raises(InsufficientData):
+            mahler_lln_traces(SYM3, SequenceSelector(3, "truncation", target=0), 2, 4)
+
+    def test_negative_mmax_refused(self):
+        with pytest.raises(RangeError, match="mmax must be a natural"):
+            mahler_lln_traces(SYM3, SequenceSelector(3, "affine", target=2), -1, 4)
 
     def test_selector_checks(self):
         bare = SequenceSelector(3, "explicit", explicit_terms=(4, 10))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padicprob.errors import DomainError, PrecisionExhausted
+from padicprob.errors import DomainError, PrecisionExhausted, RangeError
 from padicprob.padic import (
     Ball,
     PadicAbs,
@@ -67,6 +67,23 @@ class TestValuation:
     def test_as_fraction_parses_strings(self):
         assert as_fraction("5/16") == Fraction(5, 16)
         assert as_fraction("-3") == -3
+        assert as_fraction("1.5") == Fraction(3, 2)
+
+    @pytest.mark.parametrize("text", ["1e3", "1E-3", "1.5e2", ".5e1", "1.e5"])
+    def test_as_fraction_refuses_exponent_notation(self, text):
+        # Fraction itself would expand the power of ten, however large
+        with pytest.raises(RangeError, match="exponent notation"):
+            as_fraction(text)
+
+    @pytest.mark.parametrize("text", ["twelve", "1/0", "", "inf"])
+    def test_as_fraction_unreadable_string_keeps_fractions_message(self, text):
+        try:
+            Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            expected = str(exc)
+        with pytest.raises(RangeError) as caught:
+            as_fraction(text)
+        assert str(caught.value) == expected
 
     @given(RATIONALS, RATIONALS, PRIMES)
     def test_multiplicative(self, x, y, p):
