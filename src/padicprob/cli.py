@@ -133,6 +133,7 @@ def _cmd_valuation(args):
     x = as_fraction(args.value)
     v = vp(x, p)
     a = abs_p(x, p).as_fraction()
+    expansion = str(to_approx(x, p, args.digits))  # checks --digits in both formats
     if args.format == "csv":
         lines = [
             "value,prime,valuation,abs",
@@ -146,7 +147,7 @@ def _cmd_valuation(args):
                     "prime": int(p),
                     "valuation": json_exponent(v),
                     "abs": format_rational(a),
-                    "expansion": str(to_approx(x, p, args.digits)),
+                    "expansion": expansion,
                 },
                 sort_keys=True,
             )
@@ -263,6 +264,11 @@ def _cmd_clt(args):
 
 def _cmd_mahler(args):
     p = Prime(args.prime)
+    # each branch refuses a bad value of the other branch's flags too
+    as_fraction(args.q)
+    for flag, value in (("mmax", args.mmax), ("n", args.n), ("count", args.count)):
+        if value is not None and value < 0:
+            raise RangeError(f"{flag} must be a natural")
     if args.clt_check:
         a = as_fraction(args.a)
         count = args.count
@@ -298,15 +304,14 @@ def _cmd_mahler(args):
         else:
             _say("mahler: exploratory run, coefficient valuations only, no verdict")
         return
-    if args.mmax < 0:
-        raise RangeError("mmax must be a natural")
     params = limits.BernoulliParams(p, args.q)
     a = as_fraction(args.a)
     columns = [("m", INT), ("lambda", RATIONAL)]
     rows = [(m, limits.mahler_lambda(params, a, m)) for m in range(args.mmax + 1)]
     if args.n is not None:
         columns.append(("empirical", RATIONAL))
-        rows = [(m, lam, limits.empirical_mahler(params, args.n, m)) for m, lam in rows]
+        empirical = limits.empirical_mahler_row(params, args.n, args.mmax)
+        rows = [(m, lam, empirical[m]) for m, lam in rows]
     _emit(table_lines(columns, rows, args.format), args.output)
     _say(f"mahler: q={format_rational(params.q)} a={format_rational(a)} mmax={args.mmax}")
 

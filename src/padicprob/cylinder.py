@@ -207,16 +207,13 @@ class Clopen:
         """Membership of any point extending the given prefix; raises if
         the prefix is too short to decide."""
         prefix = _as_word(prefix, self.q)
-        node = _trie(self.words, self.q)
-        for d in prefix:
-            if node is _FULL:
-                return True
-            node = node.get(d, {})  # a missing child is the empty set
-        if node is _FULL:
+        # the words are an antichain with every complete sibling family merged,
+        # so a word extending the prefix leaves both outcomes open
+        if any(prefix[: len(w)] == w for w in self.words):
             return True
-        if node == {}:
-            return False
-        raise RangeError(f"prefix {prefix} too short to decide membership")
+        if any(w[: len(prefix)] == prefix for w in self.words):
+            raise RangeError(f"prefix {prefix} too short to decide membership")
+        return False
 
     def __eq__(self, other):
         if not isinstance(other, Clopen):
@@ -327,12 +324,8 @@ class CylinderMeasure:
         prefix = _as_word(prefix, self.q)
         if len(prefix) < self.depth:
             raise RangeError(f"point prefix must reach table depth {self.depth}")
-        best = None
-        for cut in range(len(prefix) + 1):
-            norm = self.measure_norm(Clopen(self.q, (prefix[:cut],)))
-            if best is None or norm < best:
-                best = norm
-        return best
+        # the norm only shrinks along nested cylinders: the deepest cut is the inf
+        return self.measure_norm(Clopen(self.q, (prefix,)))
 
 
 class UniformMeasure(CylinderMeasure):

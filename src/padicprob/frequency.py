@@ -28,7 +28,7 @@ from .errors import (
     InvalidTarget,
     RangeError,
 )
-from .padic import Ball, PadicApprox, Prime, as_fraction, vp
+from .padic import Ball, PadicApprox, Prime, as_fraction, digit_count, vp
 from .reports import EXPONENT, INT, RATIONAL, format_rational, table_lines
 
 LOGGER = logging.getLogger(__name__)
@@ -404,13 +404,6 @@ class LimitOutcome:
     params: dict = field(default_factory=dict)
 
 
-def _le_pow10(num: int, den: int, e: int) -> bool:
-    # num/den <= 10**-e, in integers only
-    if e >= 0:
-        return num * 10**e <= den
-    return num <= den * 10 ** (-e)
-
-
 def decimal_exponent(x: Fraction) -> int:
     """Largest e with |x| <= 10**-e, computed exactly (x != 0).
 
@@ -419,14 +412,10 @@ def decimal_exponent(x: Fraction) -> int:
     num, den = abs(Fraction(x)).numerator, abs(Fraction(x)).denominator
     if num == 0:
         raise RangeError("zero has no finite decimal exponent")
-    e = 0
-    if _le_pow10(num, den, 0):
-        while _le_pow10(num, den, e + 1):
-            e += 1
-    else:
-        while not _le_pow10(num, den, e):
-            e -= 1
-    return e
+    if num <= den:  # 10**e <= den/num, i.e. 10**e <= den // num
+        return digit_count(den // num, 10) - 1
+    # num/den <= 10**k, i.e. (num - 1) // den < 10**k, for the least k
+    return -digit_count((num - 1) // den, 10)
 
 
 def _gap_exponent(gap: Fraction, prime, topology: str):

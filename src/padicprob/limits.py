@@ -38,6 +38,7 @@ from .padic import (
     PadicApprox,
     Prime,
     as_fraction,
+    digit_count,
     factorial_vp,
     falling_binomial,
     vp,
@@ -300,9 +301,7 @@ def check_ball_window(p, m: int, r: int, depth: int) -> None:
     p = Prime(p)
     if m < 0 or not 0 <= r <= m:
         raise HypothesisViolation(f"center r={r} is not an atom of the limit (0..{m})")
-    s_min = 0  # least s with m <= p**s - 1; m = 0 admits depth 0
-    while p**s_min - 1 < m:
-        s_min += 1
+    s_min = digit_count(m, p)  # least s with m <= p**s - 1; m = 0 admits depth 0
     if depth >= s_min:
         return
     if m == p and 1 <= r <= p - 1 and depth >= 1:
@@ -331,6 +330,8 @@ def binomial_ball_trace(
     """
     p = Prime(prime)
     check_ball_window(p, m, r, depth)
+    if t < 1:
+        raise RangeError("t must be a natural >= 1")
     if selector is None:
         selector = SequenceSelector(p, "affine", target=Fraction(m), t=t)
     params = symmetric_params(p)
@@ -485,10 +486,12 @@ def clt_series(a, order: int, prime=None) -> FormalSeries:
     if order % 2 != 0:
         raise RangeError("truncation order must be even")
     a = as_fraction(a)
+    if prime is not None:
+        prime = Prime(prime)
     if a.denominator != 1 or a < 1:
         if prime is None:
             raise RangeError("non-natural exponents need the prime for the unit check")
-        if a == 0 or vp(a, Prime(prime)) != 0:
+        if a == 0 or vp(a, prime) != 0:
             raise DomainError("exponent must be a p-adic unit")
     return cosh_scaled_sq(a, order).padic_power(a)
 

@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -134,6 +135,7 @@ def vp(x, p) -> int | float:
     return _int_vp(x.numerator, p) - _int_vp(x.denominator, p)
 
 
+@functools.total_ordering
 class PadicAbs:
     """A p-adic absolute value p**exponent; exponent -inf encodes 0.
 
@@ -198,12 +200,6 @@ class PadicAbs:
     def __le__(self, other):
         other = self._check(other)
         return self.exponent <= other.exponent
-
-    def __gt__(self, other):
-        return self._check(other).__lt__(self)
-
-    def __ge__(self, other):
-        return self._check(other).__le__(self)
 
     def __repr__(self):
         return f"PadicAbs({self.prime}, {self.exponent})"
@@ -304,6 +300,20 @@ def to_digits(n: int, base: int, count: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def digit_count(n: int, base: int) -> int:
+    """The least s with n < base**s: how many base-`base` digits a natural n has.
+
+    Examples:
+        >>> digit_count(19, 3), digit_count(27, 3), digit_count(0, 10)
+        (3, 4, 0)
+    """
+    s = 0
+    while n > 0:
+        n //= base
+        s += 1
+    return s
+
+
 def from_digits(digits, base: int) -> int:
     """The natural sum of digit_j * base**j: the inverse of to_digits.
 
@@ -315,13 +325,6 @@ def from_digits(digits, base: int) -> int:
     for d in reversed(digits):
         n = n * base + d
     return n
-
-
-def _unit_digits(x: Fraction, p: int, n: int) -> tuple[int, ...]:
-    # digits of the unit part of x (both num and den prime to p) mod p**n
-    mod = p**n
-    u = x.numerator % mod * pow(x.denominator, -1, mod) % mod
-    return to_digits(u, p, n)
 
 
 class PadicApprox:
@@ -363,15 +366,12 @@ class PadicApprox:
     @classmethod
     def from_rational(cls, x, p, digits: int = DEFAULT_PRECISION) -> "PadicApprox":
         """Approximate a rational with the given count of significant digits."""
-        p = Prime(p)
         x = as_fraction(x)
         if digits < 1:
             raise RangeError("need at least one digit")
         if x == 0:
             return cls.zero(p)
-        v = vp(x, p)
-        unit = x / Fraction(p) ** v
-        return cls(p, v, _unit_digits(unit, p, digits))
+        return cls.from_rational_abs(x, p, vp(x, p) + digits)
 
     @classmethod
     def from_rational_abs(cls, x, p, abs_precision: int) -> "PadicApprox":
@@ -390,8 +390,11 @@ class PadicApprox:
         if n <= 0:
             # nothing survives at this precision: O(p**abs_precision)
             return cls(p, abs_precision, ())
+        # the digits of the unit part (num and den prime to p) mod p**n
         unit = x / Fraction(p) ** v
-        return cls(p, v, _unit_digits(unit, p, n))
+        mod = p**n
+        u = unit.numerator % mod * pow(unit.denominator, -1, mod) % mod
+        return cls(p, v, to_digits(u, p, n))
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -554,14 +557,6 @@ _EXP_KINDS = ("exp", "cosh", "sinh")
 SERIES_KINDS = _EXP_KINDS + ("log1p", "binomial")
 
 
-def _digits_base_p(m: int, p: int) -> int:
-    n = 0
-    while m:
-        m //= p
-        n += 1
-    return n
-
-
 def _exp_radius_val(p: int) -> int:
     # v_p(x) >= 1 suffices for odd p; p = 2 needs v_2(x) >= 2
     return 2 if p == 2 else 1
@@ -597,7 +592,7 @@ def _log1p_sum(rep: Fraction, v: int, p: int, target: int) -> Fraction:
         m += 1
         power *= rep
         # v_p(term) >= m*v - (digits_p(m) - 1), nondecreasing for v >= 1
-        if m > 1 and m * v - (_digits_base_p(m, p) - 1) >= target:
+        if m > 1 and m * v - (digit_count(m, p) - 1) >= target:
             break
         total += power / m if m % 2 == 1 else -power / m
     return total

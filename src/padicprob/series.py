@@ -140,10 +140,7 @@ def identity(order: int) -> FormalSeries:
 
 
 def exp_series(order: int) -> FormalSeries:
-    coeffs = [Fraction(1)]
-    for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] / k)
-    return FormalSeries(coeffs)
+    return exp_scaled(1, order)
 
 
 def exp_scaled(c, order: int) -> FormalSeries:

@@ -465,6 +465,30 @@ class TestPlumbing:
         assert out == ""
         assert "is not prime" in err
 
+    # a bad value is refused whatever other flags say; the last three keep their codes
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["clt", "--prime", "4"], 2),
+            (["clt", "--prime", "1"], 2),
+            (["clt", "--prime", "0", "--a", "0"], 2),
+            (["valuation", "5/16", "--prime", "5", "--digits", "0"], 2),
+            (["mahler", "--prime", "3", "--clt-check", "--q", "abc"], 2),
+            (["mahler", "--prime", "3", "--clt-check", "--n", "-1"], 2),
+            (["mahler", "--prime", "3", "--clt-check", "--mmax", "-1"], 2),
+            (["mahler", "--prime", "3", "--count", "-1"], 2),
+            (["thm31", "--prime", "3", "--m", "2", "--r", "1", "--l", "1", "--t", "0",
+              "--scheme", "2+p^k"], 2),
+            (["mahler", "--prime", "3", "--clt-check", "--q", "1/3"], 0),
+            (["mahler", "--prime", "2", "--clt-check", "--a", "3"], 0),
+            (["mahler", "--prime", "3", "--q", "1/3"], 5),
+        ],
+    )
+    def test_flag_checked_on_every_branch(self, capsys, argv, code):
+        rc, out, _ = run(capsys, argv)
+        assert rc == code
+        assert (out == "") == (code != 0)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicprob.cylinder import (
+    _FULL,
+    _trie,
     Clopen,
     ContinuousMap,
     Cylinder,
@@ -132,6 +134,20 @@ class TestClopenNormalForm:
             assert a.complement().complement() == a
 
 
+def _trie_contains(clopen, prefix):
+    # the former trie walk of Clopen.contains, kept as its oracle
+    node = _trie(clopen.words, clopen.q)
+    for d in prefix:
+        if node is _FULL:
+            return True
+        node = node.get(d, {})
+    if node is _FULL:
+        return True
+    if node == {}:
+        return False
+    raise ValueError("prefix too short")
+
+
 class TestClopenAlgebra:
     def test_hand_values(self):
         a = Clopen(3, ["0"])
@@ -178,6 +194,19 @@ class TestClopenAlgebra:
             a.contains("0")  # both decided children, prefix too short
         assert Clopen.whole(3).contains(())
         assert not Clopen.empty(3).contains(())
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    def test_contains_matches_trie_walk(self, q, data):
+        region = data.draw(clopens(q, depth=4, width=6))
+        prefix = tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=5)))
+        try:
+            expected = _trie_contains(region, prefix)
+        except ValueError:
+            with pytest.raises(ValueError, match="too short to decide membership"):
+                region.contains(prefix)
+        else:
+            assert region.contains(prefix) is expected
 
 
 class TestClopenText:
@@ -286,6 +315,18 @@ class TestCylinderMeasure:
         assert m.point_norm((0, 1)) == abs_p(Fraction(1, 3), 3)
         with pytest.raises(ValueError):
             m.point_norm((0,))
+
+    @settings(max_examples=150)
+    @given(ALPHABET_PRIMES, st.integers(0, 3), st.data())
+    def test_point_norm_matches_inf_over_cuts(self, qp, depth, data):
+        q, p = qp
+        words = [decode_jq(n, q, depth) for n in range(q**depth)]
+        masses = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+        m = CylinderMeasure(q, p, depth, {w: data.draw(masses) for w in words})
+        prefix = data.draw(st.lists(st.integers(0, q - 1), min_size=depth, max_size=depth + 3))
+        # the definition: the least norm over every cylinder containing the point
+        cuts = [m.measure_norm(Clopen(q, (prefix[:cut],))) for cut in range(len(prefix) + 1)]
+        assert m.point_norm(prefix) == min(cuts)
 
     def test_alphabet_mismatch(self):
         m = CylinderMeasure(2, 3, 1, BERN)

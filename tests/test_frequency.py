@@ -403,6 +403,23 @@ class TestConditional:
             conditional_s_probability(c, "a", "b", sel, kmax=5)
 
 
+def _searched_exponent(x):
+    # the former search form of decimal_exponent, kept as its oracle
+    num, den = abs(x).numerator, abs(x).denominator
+
+    def le_pow10(e):  # num/den <= 10**-e
+        return num * 10**e <= den if e >= 0 else num <= den * 10 ** (-e)
+
+    e = 0
+    if le_pow10(0):
+        while le_pow10(e + 1):
+            e += 1
+    else:
+        while not le_pow10(e):
+            e -= 1
+    return e
+
+
 class TestDecimalExponent:
     def test_spot_values(self):
         assert decimal_exponent(Fraction(1, 100)) == 2
@@ -420,6 +437,19 @@ class TestDecimalExponent:
                 e = decimal_exponent(x)
                 assert abs(x) <= Fraction(10) ** (-e)
                 assert abs(x) > Fraction(10) ** (-(e + 1))
+
+    @given(st.integers(-(10**45), 10**45).filter(bool), st.integers(1, 10**45))
+    def test_matches_search(self, num, den):
+        x = Fraction(num, den)
+        assert decimal_exponent(x) == _searched_exponent(x)
+
+    def test_at_and_around_powers_of_ten(self):
+        tiny = Fraction(1, 10**50)
+        for e in range(-40, 40):
+            power = Fraction(10) ** e
+            assert decimal_exponent(power) == -e
+            for x in (power, power - tiny, power + tiny):
+                assert decimal_exponent(x) == decimal_exponent(-x) == _searched_exponent(x)
 
 
 class TestCheckpointForcing:

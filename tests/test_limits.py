@@ -282,6 +282,19 @@ class TestLimitWeights:
             binomial_limit_weights(-1)
 
 
+def _looped_ball_window(p, m, r, depth):
+    # the former s_min loop of check_ball_window, kept as its oracle: the
+    # refusal message (carrying s_min), or None where the window is accepted
+    if m < 0 or not 0 <= r <= m:
+        return f"center r={r} is not an atom of the limit (0..{m})"
+    s_min = 0
+    while p**s_min - 1 < m:
+        s_min += 1
+    if depth >= s_min or (m == p and 1 <= r <= p - 1 and depth >= 1):
+        return None
+    return f"ball depth {depth} cannot separate the atoms 0..{m} (need >= {s_min})"
+
+
 class TestBallWindow:
     def test_accepts(self):
         check_ball_window(3, 2, 1, 1)
@@ -298,6 +311,17 @@ class TestBallWindow:
             check_ball_window(3, 10, 4, 2)  # 3**2 - 1 < 10
         with pytest.raises(HypothesisViolation):
             check_ball_window(3, 3, 0, 1)  # boundary atom of m == p
+
+    @given(st.sampled_from([2, 3, 5, 7, 97]), st.integers(-1, 400), st.data())
+    def test_matches_loop(self, p, m, data):
+        r = data.draw(st.integers(-1, m + 1))
+        depth = data.draw(st.integers(0, 10))
+        try:
+            check_ball_window(p, m, r, depth)
+            message = None
+        except HypothesisViolation as exc:
+            message = str(exc)
+        assert message == _looped_ball_window(p, m, r, depth)
 
 
 class TestBallTraces:
@@ -324,6 +348,15 @@ class TestBallTraces:
         assert all(r.value == 1 for r in t.rows)
         assert all(r.distance_exponent == math.inf for r in t.rows)
         assert t.verdict == VERDICT_CONVERGING
+
+    def test_t_below_one_refused_with_any_selector(self):
+        given_selector = SequenceSelector(3, "affine", target=Fraction(2), t=1)
+        for selector in (None, given_selector):
+            with pytest.raises(RangeError, match="t must be a natural"):
+                binomial_ball_trace(3, 2, 1, 1, t=0, selector=selector)
+            # the window's hypothesis is checked first
+            with pytest.raises(HypothesisViolation):
+                binomial_ball_trace(3, 2, 1, 0, t=0, selector=selector)
 
     def test_short_trace_inconclusive(self):
         t = binomial_ball_trace(3, 2, 1, 1, kmax=2)
@@ -622,6 +655,12 @@ class TestCltSeries:
             clt_series(Fraction(3, 2), 8, prime=3)
         with pytest.raises(DomainError):
             clt_series(0, 8, prime=3)
+
+    @pytest.mark.parametrize("a", [1, 2, 0, Fraction(1, 2)])
+    @pytest.mark.parametrize("prime", [0, 1, 4])
+    def test_given_prime_checked_for_every_exponent(self, a, prime):
+        with pytest.raises(RangeError, match="is not prime"):
+            clt_series(a, 8, prime=prime)
 
 
 class TestCharfunToMahler:

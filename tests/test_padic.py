@@ -14,6 +14,7 @@ from padicprob.padic import (
     Sphere,
     abs_p,
     as_fraction,
+    digit_count,
     dist_p,
     factorial_vp,
     falling_binomial,
@@ -116,6 +117,17 @@ class TestPadicAbs:
     def test_mismatched_primes_rejected(self):
         with pytest.raises(ValueError):
             abs_p(3, 3) < abs_p(3, 5)
+        a, b = abs_p(3, 3), abs_p(3, 5)
+        for compare in (a.__lt__, a.__le__, a.__gt__, a.__ge__):
+            with pytest.raises(RangeError):
+                compare(b)
+            with pytest.raises(TypeError):
+                compare(Fraction(1, 3))
+
+    @given(PRIMES, st.integers(-5, 5) | st.just(-math.inf), st.integers(-5, 5) | st.just(-math.inf))
+    def test_comparisons_follow_exponents(self, p, e, f):
+        a, b = PadicAbs(p, e), PadicAbs(p, f)
+        assert (a < b, a <= b, a > b, a >= b) == (e < f, e <= f, e > f, e >= f)
 
     @given(RATIONALS, RATIONALS, PRIMES)
     def test_ultrametric(self, x, y, p):
@@ -165,6 +177,16 @@ class TestPadicApprox:
         assert z.exact_zero and z.abs_precision == math.inf
         assert z.abs_p().is_zero
         assert str(z) == "0 base 3 (exact)"
+
+    @given(RATIONALS.filter(bool), PRIMES, st.integers(1, 12))
+    def test_from_rational_matches_unit_digit_route(self, x, p, digits):
+        # the former direct construction: v_p, then the unit's digits mod p**digits
+        v = vp(x, p)
+        unit = x / Fraction(p) ** v
+        mod = p**digits
+        u = unit.numerator % mod * pow(unit.denominator, -1, mod) % mod
+        a = PadicApprox.from_rational(x, p, digits)
+        assert (a.valuation, a.digits, a.exact_zero) == (v, to_digits(u, p, digits), False)
 
     def test_congruent_to(self):
         x = to_approx(Fraction(1, 2), 3, 4)
@@ -339,6 +361,31 @@ class TestDigits:
     @given(st.integers(2, 40), st.integers(0, 12), st.integers(0, 10**30))
     def test_truncates_mod_base_power(self, base, count, n):
         assert from_digits(to_digits(n, base, count), base) == n % base**count
+
+
+def _digits_loop(m, p):
+    # the former padic._digits_base_p, kept as the oracle for digit_count
+    n = 0
+    while m:
+        m //= p
+        n += 1
+    return n
+
+
+class TestDigitCount:
+    @given(st.sampled_from([2, 3, 5, 7, 97]), st.integers(0, 4999))
+    def test_matches_division_loop(self, p, m):
+        assert digit_count(m, p) == _digits_loop(m, p)
+
+    @given(st.integers(2, 40), st.integers(0, 10**60))
+    def test_least_power_above(self, base, n):
+        s = digit_count(n, base)
+        assert n < base**s
+        assert s == 0 or base ** (s - 1) <= n
+
+    def test_powers_of_the_base(self):
+        assert [digit_count(10**e, 10) for e in range(4)] == [1, 2, 3, 4]
+        assert [digit_count(10**e - 1, 10) for e in range(4)] == [0, 1, 2, 3]
 
 
 class TestFactorialHelpers:
