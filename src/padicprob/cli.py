@@ -44,10 +44,6 @@ _ERROR_EXITS = (
 )
 
 
-class _UnreadableInput(RangeError):
-    """The --input file cannot be opened or read."""
-
-
 def _default_digits() -> str:
     # a string default goes through the option's type check, so a bad
     # value is reported as an argument error (exit 2), not a traceback
@@ -73,9 +69,12 @@ def _emit(lines, path):
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise RangeError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _say(msg):
@@ -96,15 +95,18 @@ def _value_repr(value):
 
 
 def _collective_from_args(args):
-    # the source flags form a required group, so one of these is given
+    # the source flags form a required group, so one of these is given;
+    # a given alphabet applies to every source (test has no --alphabet)
+    alphabet = getattr(args, "alphabet", None)
     if args.input is not None:
         try:
-            return Collective.from_file(args.input, getattr(args, "alphabet", "01"))
+            return Collective.from_file(args.input, alphabet or "01")
         except OSError as exc:
-            raise _UnreadableInput(f"cannot read {args.input}: {exc.strerror or exc}") from None
-    if args.random_bits is not None:
-        return Collective.random_bits(args.random_bits)
-    return Collective.periodic(args.periodic)
+            raise RangeError(f"cannot read {args.input}: {exc.strerror or exc}") from None
+    if args.periodic is not None:
+        return Collective.periodic(args.periodic, alphabet)
+    bits = Collective.random_bits(args.random_bits)
+    return bits if alphabet is None else bits.with_alphabet(alphabet)
 
 
 def _add_source_flags(sub, adversarial=False):
@@ -178,7 +180,7 @@ def _cmd_freq(args):
     collective = _collective_from_args(args)
     selector = parse_selector(args.scheme, p)
     kwargs = dict(window=args.window, cauchy_threshold=args.threshold, topology=args.topology)
-    if args.given:
+    if args.given is not None:
         outcome = conditional_s_probability(
             collective, args.given, args.labels, selector, args.kmax, **kwargs
         )
@@ -307,12 +309,11 @@ def _cmd_mahler(args):
     params = limits.BernoulliParams(p, args.q)
     a = as_fraction(args.a)
     columns = [("m", INT), ("lambda", RATIONAL)]
-    rows = [(m, limits.mahler_lambda(params, a, m)) for m in range(args.mmax + 1)]
+    values = [range(args.mmax + 1), limits.mahler_row(params, a, args.mmax)]
     if args.n is not None:
         columns.append(("empirical", RATIONAL))
-        empirical = limits.empirical_mahler_row(params, args.n, args.mmax)
-        rows = [(m, lam, empirical[m]) for m, lam in rows]
-    _emit(table_lines(columns, rows, args.format), args.output)
+        values.append(limits.empirical_mahler_row(params, args.n, args.mmax))
+    _emit(table_lines(columns, zip(*values), args.format), args.output)
     _say(f"mahler: q={format_rational(params.q)} a={format_rational(a)} mmax={args.mmax}")
 
 
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("freq", help="relative-frequency trace along a selector")
     _add_source_flags(s)
-    s.add_argument("--alphabet", default="01")
+    s.add_argument("--alphabet")  # default: 01, or the --periodic word's own symbols
     s.add_argument("--labels", required=True, help="symbols counted as the event")
     s.add_argument("--given", help="condition on these symbols (Bayes quotient)")
     s.add_argument("--prime", type=int, required=True)

@@ -142,6 +142,10 @@ class Collective:
             description=f"random:{seed}",
         )
 
+    def with_alphabet(self, alphabet) -> "Collective":
+        """This source over another alphabet (the new collective takes the source over)."""
+        return Collective(alphabet, self._buf, self._gen, self.description)
+
     @classmethod
     def checkpoint_forcing(cls, prime, depth, center, terms, mode="sphere") -> "Collective":
         bits = checkpoint_forcing_bits(prime, depth, center, terms, mode=mode)

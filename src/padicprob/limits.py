@@ -20,6 +20,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, lcm
 from operator import mul
 from typing import NamedTuple
@@ -38,6 +39,7 @@ from .padic import (
     PadicApprox,
     Prime,
     as_fraction,
+    binomial_terms,
     digit_count,
     factorial_vp,
     falling_binomial,
@@ -93,10 +95,7 @@ def padic_binomial_coeff(a, m: int, prime=None) -> PadicApprox:
     a = as_fraction(a)
     if vp(a, p) < 0:
         raise DomainError("binomial coefficient needs a p-adic integer argument")
-    val = falling_binomial(a, m)
-    if val == 0:
-        return PadicApprox.zero(p)
-    return PadicApprox.from_rational(val, p)
+    return PadicApprox.from_rational(falling_binomial(a, m), p)  # exact zero for C = 0
 
 
 # -- the exact sum distribution ------------------------------------------
@@ -414,10 +413,17 @@ def mahler_lambda(params: BernoulliParams, a, m: int):
     exact Fraction for exact a, PadicApprox for approximate a."""
     if m < 0:
         raise RangeError("m must be a natural")
-    factor = params.q_prime**m
     if isinstance(a, PadicApprox):
-        return padic_binomial_coeff(a, m).mul_rational(factor)
-    return factor * falling_binomial(as_fraction(a), m)
+        return padic_binomial_coeff(a, m).mul_rational(params.q_prime**m)
+    return mahler_row(params, a, m)[m]
+
+
+def mahler_row(params: BernoulliParams, a, mmax: int) -> list[Fraction]:
+    """The Mahler coefficients (1-q)**m * C(a, m) of the law of S_a for
+    m = 0..mmax, exact a, as one running product."""
+    if mmax < 0:
+        raise RangeError("mmax must be a natural")
+    return list(islice(binomial_terms(a, params.q_prime), mmax + 1))
 
 
 def empirical_mahler_row(params: BernoulliParams, n: int, mmax: int) -> list[Fraction]:
@@ -425,10 +431,7 @@ def empirical_mahler_row(params: BernoulliParams, n: int, mmax: int) -> list[Fra
     C(S_n, m) counts the m-subsets of trials that all give 1."""
     if n < 0:
         raise RangeError("n must be a natural")
-    if mmax < 0:
-        raise RangeError("mmax must be a natural")
-    qp = params.q_prime
-    return [qp**m * comb(n, m) for m in range(mmax + 1)]
+    return mahler_row(params, n, mmax)
 
 
 def empirical_mahler(params: BernoulliParams, n: int, m: int) -> Fraction:
@@ -449,8 +452,6 @@ def mahler_lln_traces(
     """Law of large numbers in Mahler coordinates: for each m the
     empirical coefficient along N_k converges p-adically to
     (1-q)**m C(a, m), a the selector's target."""
-    if mmax < 0:
-        raise RangeError("mmax must be a natural")
     if selector.target is None:
         raise RangeError("the selector must carry the limit target a")
     p = params.prime
@@ -465,11 +466,12 @@ def mahler_lln_traces(
         "selector": selector.describe(),
         "threshold": threshold,
     }
-    qp = params.q_prime
+    targets = mahler_row(params, a, mmax)
+    rows = {n: mahler_row(params, n, mmax) for n in terms}
     return {
         m: _distance_trace(
-            "mahler-lln", p, mahler_lambda(params, a, m), terms,
-            lambda n, m=m: qp**m * comb(n, m), threshold, dict(meta, m=m),
+            "mahler-lln", p, targets[m], terms,
+            lambda n, m=m: rows[n][m], threshold, dict(meta, m=m),
         )
         for m in range(mmax + 1)
     }
@@ -635,7 +637,8 @@ def sphere_randomness_test(
     residue below p of S - center mod p**depth. k_eps is the first k
     from which every computed event probability has |P|_p < p**-E;
     hits at k >= k_eps reject (every k hitting upgrades the verdict to
-    PersistentHit). If the window never reaches the significance level,
+    PersistentHit). A selector with fewer than kmax terms raises
+    InsufficientData. If the window never reaches the significance level,
     DomainError: the test cannot run at this eps.
     """
     p = Prime(prime)
@@ -648,7 +651,7 @@ def sphere_randomness_test(
     params = symmetric_params(p)
     all_terms = selector.terms(kmax)
     if len(all_terms) < kmax:
-        raise DomainError("selector yields fewer usable terms than kmax")
+        raise InsufficientData("selector yields fewer usable terms than kmax")
     rows = []
     for k in range(kmin, kmax + 1):
         n = all_terms[k - 1]

@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -557,54 +558,66 @@ _EXP_KINDS = ("exp", "cosh", "sinh")
 SERIES_KINDS = _EXP_KINDS + ("log1p", "binomial")
 
 
-def _exp_radius_val(p: int) -> int:
-    # v_p(x) >= 1 suffices for odd p; p = 2 needs v_2(x) >= 2
-    return 2 if p == 2 else 1
+def ratio_terms(ratio):
+    """Yield t_0 = 1 and t_m = t_{m-1} * ratio(m) for m = 1, 2, ...: the one
+    running product behind the exp, log, binomial and Mahler sequences.
 
-
-def _exp_like_sum(kind: str, rep: Fraction, v: int, p: int, target: int) -> Fraction:
-    # partial sum with remainder below p**-target; term valuation bound
-    # m*v - (m-1)/(p-1) is nondecreasing on the disc of convergence
-    total = Fraction(0)
+    Examples:
+        >>> [str(t) for t in itertools.islice(ratio_terms(lambda m: Fraction(2, m)), 4)]
+        ['1', '2', '2', '4/3']
+    """
     term = Fraction(1)
     m = 0
     while True:
-        bound = Fraction(m) * v - Fraction(m - 1, p - 1) if m else Fraction(0)
-        if m and bound >= target:
-            break
-        keep = (
-            kind == "exp"
-            or (kind == "cosh" and m % 2 == 0)
-            or (kind == "sinh" and m % 2 == 1)
-        )
-        if keep:
-            total += term
+        yield term
         m += 1
-        term = term * rep / m
-    return total
+        term = term * ratio(m)
 
 
-def _log1p_sum(rep: Fraction, v: int, p: int, target: int) -> Fraction:
-    total = Fraction(0)
-    power = Fraction(1)
-    m = 0
-    while True:
-        m += 1
-        power *= rep
-        # v_p(term) >= m*v - (digits_p(m) - 1), nondecreasing for v >= 1
-        if m > 1 and m * v - (digit_count(m, p) - 1) >= target:
-            break
-        total += power / m if m % 2 == 1 else -power / m
-    return total
+def binomial_terms(a, scale=1):
+    """Yield C(a, m) * scale**m for m = 0, 1, ...; the ratio is scale * (a - m + 1) / m.
+
+    Examples:
+        >>> [str(t) for t in itertools.islice(binomial_terms(Fraction(1, 2)), 4)]
+        ['1', '1/2', '-1/8', '1/16']
+    """
+    a, scale = as_fraction(a), as_fraction(scale)
+    # scale * (a - m + 1) / m over integers: one normalisation per term
+    num, den = scale.numerator, scale.denominator * a.denominator
+    return ratio_terms(lambda m: Fraction(num * (a.numerator - (m - 1) * a.denominator), den * m))
 
 
 def falling_binomial(a: Fraction, m: int) -> Fraction:
     """Exact generalized binomial coefficient a(a-1)...(a-m+1)/m!."""
-    a = as_fraction(a)
-    out = Fraction(1)
-    for j in range(m):
-        out = out * (a - j) / (j + 1)
-    return out
+    if m < 0:
+        raise RangeError("m must be a natural")
+    return next(itertools.islice(binomial_terms(a), m, None))
+
+
+def _binomial_exponent(a, p) -> tuple[Fraction, int | float]:
+    # the representative of a p-adic integer exponent and its absolute precision
+    if a is None:
+        raise RangeError("binomial series needs the exponent a")
+    if isinstance(a, PadicApprox):
+        if a.prime != p:
+            raise RangeError("mismatched primes between x and a")
+        rep, prec, v = a.rational_rep(), a.abs_precision, a.valuation  # exact zero: 0, inf, 0
+    else:
+        rep, prec = as_fraction(a), math.inf
+        v = vp(rep, p)
+    if v < 0:
+        raise DomainError("binomial exponent must be a p-adic integer")
+    return rep, prec
+
+
+def _series_sum(terms, bound, target: int) -> Fraction:
+    # bound(m) is a nondecreasing lower bound on v_p(term m), so once it
+    # reaches the target every remaining term is 0 mod p**target
+    total = Fraction(0)
+    for m, term in enumerate(terms):
+        if bound(m) >= target:
+            return total
+        total += term
 
 
 def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
@@ -626,74 +639,41 @@ def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
     if not isinstance(x, PadicApprox):
         raise TypeError("series_eval expects a PadicApprox argument")
     p = x.prime
-
-    if kind in _EXP_KINDS:
-        need = _exp_radius_val(p)
-        if x.exact_zero:
-            if kind == "sinh":
-                return PadicApprox.zero(p)
-            return PadicApprox.from_rational(1, p, DEFAULT_PRECISION)
-        if x.valuation < need or not x.digits:
-            raise DomainError(
-                f"{kind} converges only for v_{p}(x) >= {need}; argument has {x!s}"
-            )
-        m_abs = x.abs_precision
-        total = _exp_like_sum(kind, x.rational_rep(), x.valuation, p, m_abs)
-        return PadicApprox.from_rational_abs(total, p, m_abs)
-
-    if kind == "log1p":
-        if x.exact_zero:
+    a_rep, a_prec = _binomial_exponent(a, p) if kind == "binomial" else (None, math.inf)
+    if x.exact_zero:  # at x = 0 each series is its constant term
+        if kind in ("sinh", "log1p"):
             return PadicApprox.zero(p)
-        if x.valuation < 1 or not x.digits:
-            raise DomainError(f"log1p converges only for |x|_p < 1; argument has {x!s}")
-        m_abs = x.abs_precision
-        total = _log1p_sum(x.rational_rep(), x.valuation, p, m_abs)
-        return PadicApprox.from_rational_abs(total, p, m_abs)
-
-    # binomial: (1 + x)**a = sum_m C(a, m) x**m
-    if a is None:
-        raise RangeError("binomial series needs the exponent a")
-    if isinstance(a, PadicApprox):
-        if a.prime != p:
-            raise RangeError("mismatched primes between x and a")
-        if a.exact_zero:
-            a_rep: Fraction = Fraction(0)
-            a_prec: int | float = math.inf
-        else:
-            if a.valuation < 0:
-                raise DomainError("binomial exponent must be a p-adic integer")
-            a_rep = a.rational_rep()
-            a_prec = a.abs_precision
-    else:
-        a_rep = as_fraction(a)
-        if vp(a_rep, p) < 0:
-            raise DomainError("binomial exponent must be a p-adic integer")
-        a_prec = math.inf
-    if x.exact_zero:
         return PadicApprox.from_rational(1, p, DEFAULT_PRECISION)
-    if x.valuation < 1 or not x.digits:
-        raise DomainError(f"binomial series converges only for |x|_p < 1; argument has {x!s}")
-
-    m_abs = x.abs_precision
-    v = x.valuation
-    rep = x.rational_rep()
-    total = Fraction(0)
-    coeff = Fraction(1)
-    power = Fraction(1)
-    m = 0
-    a_err = math.inf
-    while m * v < m_abs:
-        total += coeff * power
-        # C(a, m) differs from C(a_rep, m) by at most p**-(a_prec - v_p(m!)),
-        # so term m contributes uncertainty p**-(a_prec - v_p(m!) + m*v)
-        if m >= 1 and a_prec != math.inf:
-            a_err = min(a_err, a_prec - factorial_vp(m, p) + m * v)
-        coeff = coeff * (a_rep - m) / (m + 1)
-        power *= rep
-        m += 1
-    out_prec = min(m_abs, a_err)
-    if out_prec <= 0:
-        raise PrecisionExhausted("binomial series result retains no precision")
+    # v_p(x) >= 1 suffices, except that exp, cosh and sinh at p = 2 need v_2(x) >= 2
+    need = 2 if p == 2 and kind in _EXP_KINDS else 1
+    if x.valuation < need or not x.digits:
+        raise DomainError(f"{kind} converges only for v_{p}(x) >= {need}; argument has {x!s}")
+    rep, v, target = x.rational_rep(), x.valuation, x.abs_precision
+    # target = v + len(digits) exceeds v >= 1, and each bound below is at most v
+    # at m = 0 and m = 1: those terms are always summed, so a bound need only
+    # hold from m = 2 on (the exp bound at m = 0, 1/(p-1), exceeds v_p(1) = 0)
+    if kind in _EXP_KINDS:
+        # rep**m / m!, and v_p(m!) <= (m - 1)/(p - 1) for m >= 1
+        parities = {"exp": (0, 1), "cosh": (0,), "sinh": (1,)}[kind]
+        exp_terms = ratio_terms(lambda m: rep / m)
+        terms = (t if m % 2 in parities else 0 for m, t in enumerate(exp_terms))
+        bound = lambda m: m * v - Fraction(m - 1, p - 1)
+    elif kind == "log1p":
+        # -(-rep)**m / m for m >= 1, and v_p(m) <= digit_count(m, p) - 1
+        powers = ratio_terms(lambda m: -rep)
+        terms = (-t / m if m else 0 for m, t in enumerate(powers))
+        bound = lambda m: m * v - (digit_count(m, p) - 1)
+    else:
+        terms = binomial_terms(a_rep, rep)
+        bound = lambda m: m * v
+    total = _series_sum(terms, bound, target)
+    out_prec = target
+    if a_prec != math.inf:
+        # C(a, m) differs from C(a_rep, m) by at most p**-(a_prec - v_p(m!)), so
+        # each summed term m >= 1 (m*v < target) is known to a_prec - v_p(m!) + m*v;
+        # that is >= 1, as a_prec >= 0 and m*v - v_p(m!) >= m - (m-1)/(p-1) >= 1
+        last = -(-target // v)
+        out_prec = min([target] + [a_prec - factorial_vp(m, p) + m * v for m in range(1, last)])
     return PadicApprox.from_rational_abs(total, p, out_prec)
 
 

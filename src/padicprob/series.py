@@ -8,9 +8,10 @@ otherwise) so precision never silently degrades.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DomainError, OrderError, RangeError
-from .padic import as_fraction
+from .padic import as_fraction, ratio_terms
 
 
 class FormalSeries:
@@ -146,10 +147,8 @@ def exp_series(order: int) -> FormalSeries:
 def exp_scaled(c, order: int) -> FormalSeries:
     """exp(c*z) truncated: coefficients c**k / k!."""
     c = as_fraction(c)
-    coeffs = [Fraction(1)]
-    for k in range(1, order + 1):
-        coeffs.append(coeffs[-1] * c / k)
-    return FormalSeries(coeffs)
+    # a negative order keeps the constant term, as one(order) does
+    return FormalSeries(islice(ratio_terms(lambda k: c / k), max(order, 0) + 1))
 
 
 def cosh_series(order: int) -> FormalSeries:
@@ -175,11 +174,5 @@ def cosh_scaled_sq(n, order: int) -> FormalSeries:
     n = as_fraction(n)
     if n == 0:
         raise DomainError("scaling by 1/sqrt(0)")
-    coeffs = [Fraction(0)] * (order + 1)
-    c = Fraction(1)
-    k = 0
-    while 2 * k <= order:
-        coeffs[2 * k] = c
-        k += 1
-        c = c / (n * (2 * k - 1) * (2 * k))
-    return FormalSeries(coeffs)
+    even = ratio_terms(lambda k: 1 / (n * (2 * k - 1) * (2 * k)))
+    return FormalSeries(next(even) if j % 2 == 0 else 0 for j in range(order + 1))

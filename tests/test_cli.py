@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ import padicprob
 from padicprob.cli import EXIT_CODES, main
 from padicprob.limits import binomial_ball_trace
 from padicprob.padic import DEFAULT_PRECISION, to_approx
+from padicprob.reports import INT, RATIONAL, table_lines
 
 
 def run(capsys, argv):
@@ -235,6 +237,20 @@ class TestCltAndMahler:
             "3,0,1,1,2",
         ]
 
+    def test_mahler_table_matches_per_m_route(self, capsys):
+        # the former table: (1/2)**m * C(1/2, m), each C rebuilt by its own product
+        def per_m(m):
+            out = Fraction(1, 2) ** m
+            for j in range(m):
+                out = out * (Fraction(1, 2) - j) / (j + 1)
+            return out
+
+        rows = [(m, per_m(m)) for m in range(301)]
+        expected = table_lines((("m", INT), ("lambda", RATIONAL)), rows, "csv")
+        rc, out, _ = run(capsys, ["mahler", "--prime", "3", "--a", "1/2", "--mmax", "300"])
+        assert rc == 0
+        assert out == "\n".join(expected) + "\n"
+
     def test_clt_check_verdict(self, capsys):
         rc, out, err = run(capsys, ["mahler", "--prime", "3", "--clt-check", "--count", "6"])
         assert rc == 0
@@ -306,6 +322,16 @@ ADVERSARIAL = [
 
 
 class TestRandomness:
+    @pytest.mark.parametrize("source", [["--random-bits", "1"], ["--adversarial"]])
+    @pytest.mark.parametrize("scheme", ["trunc(0)", "list:4,10"])
+    def test_short_selector_is_insufficient_data(self, capsys, source, scheme):
+        # as for thm31, lln and freq: too few checkpoints is missing data
+        rc, out, err = run(capsys, ["test", *source, "--prime", "3", "--l", "1", "--r", "0",
+                                    "--scheme", scheme, "--eps-exp", "2", "--kmax", "3"])
+        assert rc == EXIT_CODES["data"] == 4
+        assert out == ""
+        assert err.splitlines()[-1] == "error: selector yields fewer usable terms than kmax"
+
     def test_adversarial_rows(self, capsys):
         rc, out, err = run(capsys, ADVERSARIAL)
         assert rc == 0
@@ -399,6 +425,41 @@ class TestFreq:
         )
         assert rc == EXIT_CODES["parse"]
 
+    def test_empty_given_is_a_condition(self, capsys):
+        # --given= conditions on the empty event; it is not the unconditional trace
+        rc, out, err = run(capsys, ["freq", "--periodic", "01", "--labels", "1", "--given=",
+                                    "--prime", "3", "--scheme", "1+p^k", "--kmax", "4"])
+        assert rc == EXIT_CODES["domain"] == 5
+        assert out == ""
+        assert err.splitlines()[-1] == "error: conditioning event absent in the first 4 symbols"
+
+    @pytest.mark.parametrize(
+        "source,alphabet,labels,code",
+        [
+            (["--periodic", "012"], "01", "1", 2),
+            (["--random-bits", "1"], "abc", "1", 2),
+            (["--random-bits", "1"], "abc", "a", 2),  # the drawn bits are strays
+            (["--random-bits", "1"], "012", "2", 0),
+            (["--periodic", "0120"], None, "2", 0),  # inferred from the word
+            (["--periodic", "0120"], "01", "1", 2),
+        ],
+    )
+    def test_alphabet_applies_to_every_source(self, capsys, tmp_path, source, alphabet, labels, code):
+        flags = [] if alphabet is None else ["--alphabet", alphabet]
+        argv = ["freq", *source, *flags, "--labels", labels, "--prime", "3",
+                "--scheme", "1+p^k", "--kmax", "6"]
+        rc, out, err = run(capsys, argv)
+        assert rc == code
+        assert (out == "") == (code != 0)
+        if code:
+            assert "outside alphabet" in err.splitlines()[-1]
+            # the same symbols read from a file are refused the same way
+            if source[0] == "--periodic":
+                path = tmp_path / "symbols.txt"
+                path.write_text(source[1] * 4)
+                argv[1:3] = ["--input", str(path)]
+                assert run(capsys, argv)[0] == code
+
     def test_seeded_source_is_deterministic(self, capsys):
         argv = ["freq", "--random-bits", "7", "--labels", "1", "--prime", "3",
                 "--scheme", "1+p^k", "--kmax", "6"]
@@ -426,6 +487,15 @@ class TestPlumbing:
         assert rc == 0
         assert out == ""
         assert dest.read_text().splitlines()[1] == "12,3,1,1/3"
+
+    @pytest.mark.parametrize("dest", ["absent/report.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output(self, capsys, tmp_path, dest):
+        # like an unreadable --input: one error line, exit 2, no traceback
+        path = tmp_path / dest
+        rc, out, err = run(capsys, ["valuation", "5", "--prime", "3", "--output", str(path)])
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"error: cannot write {path}: ")
 
     def test_byte_identical_reruns(self, capsys):
         for argv in (

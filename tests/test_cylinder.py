@@ -422,7 +422,7 @@ class TestContinuousIntegration:
         assert digit_weight_map(q, p).evaluator(word) == _per_digit_weight(word, p)
 
     # the reference route: j_q order, one Fraction per digit
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     @given(ALPHABET_PRIMES, st.integers(0, 5))
     def test_riemann_sum_against_per_digit_route(self, qp, depth):
         q, p = qp

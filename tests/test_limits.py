@@ -50,6 +50,7 @@ from padicprob.limits import (
     hit_union_probability,
     mahler_lambda,
     mahler_lln_traces,
+    mahler_row,
     padic_binomial_coeff,
     prime_edge_trace,
     sphere_probability,
@@ -485,6 +486,18 @@ class TestCharfun:
         with pytest.raises(DomainError):
             charfun_series(SYM3, Fraction(1, 3), 6)
 
+    # phi(log(1 + w)) = (1 + q' w)**a, whose w-coefficients are the Mahler row
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.fractions(-20, 20, max_denominator=30), st.data())
+    def test_mahler_transform_is_mahler_row(self, p, a, data):
+        assume(vp(a, p) >= 0)
+        q = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]))
+        assume(vp(q, p) >= 0 and vp(1 - q, p) >= 0)
+        params = BernoulliParams(p, q)
+        order = data.draw(st.integers(0, 14))
+        seq = charfun_to_mahler(charfun_series(params, a, order), order)
+        assert list(seq.coefficients) == mahler_row(params, a, order)
+
 
 class TestMahlerLambda:
     def test_single_trial_cutoff(self):
@@ -502,6 +515,38 @@ class TestMahlerLambda:
         assert lam.congruent_to(Fraction(1, 4))
         with pytest.raises(RangeError):
             mahler_lambda(SYM3, 1, -1)
+
+
+def _comb_row(params, n, mmax):
+    # the former closed-form row, one power and one comb per m
+    return [params.q_prime**m * comb(n, m) for m in range(mmax + 1)]
+
+
+class TestMahlerRow:
+    @given(st.sampled_from([2, 3, 5]), st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(5)]),
+           st.integers(0, 300), st.integers(0, 40))
+    def test_matches_comb_row(self, p, q, n, mmax):
+        assume(vp(q, p) >= 0 and vp(1 - q, p) >= 0)
+        params = BernoulliParams(p, q)
+        assert mahler_row(params, n, mmax) == _comb_row(params, n, mmax)
+        assert empirical_mahler_row(params, n, mmax) == _comb_row(params, n, mmax)
+
+    @given(st.fractions(-9, 9, max_denominator=8), st.integers(0, 30))
+    def test_matches_per_m_lambda(self, a, mmax):
+        # the former lambda column: (1-q)**m times C(a, m) rebuilt for each m
+        def per_m(m):
+            c = Fraction(1)
+            for j in range(m):
+                c = c * (a - j) / (j + 1)
+            return SYM3.q_prime**m * c
+
+        row = mahler_row(SYM3, a, mmax)
+        assert row == [per_m(m) for m in range(mmax + 1)]
+        assert row == [mahler_lambda(SYM3, a, m) for m in range(mmax + 1)]
+
+    def test_negative_mmax_refused(self):
+        with pytest.raises(RangeError, match="mmax must be a natural"):
+            mahler_row(SYM3, 2, -1)
 
 
 class TestEmpiricalMahler:
@@ -589,6 +634,16 @@ class TestMahlerLln:
         for m, t in traces.items():
             assert [r.value for r in t.rows] == [empirical_mahler(params, n, m) for n in sel.terms(4)]
             assert t.params["m"] == m
+
+    # the former per-(m, n) route: mahler_lambda targets and comb values
+    @pytest.mark.parametrize("target", [Fraction(-1), Fraction(1, 2), Fraction(7, 4), Fraction(5)])
+    def test_matches_per_m_route(self, target):
+        params = BernoulliParams(5, Fraction(1, 3))
+        sel = SequenceSelector(5, "truncation", target=target)
+        traces = mahler_lln_traces(params, sel, 6, 5)
+        for m, t in traces.items():
+            assert t.target == mahler_lambda(params, target, m)
+            assert [r.value for r in t.rows] == [_comb_row(params, n, m)[m] for n in sel.terms(5)]
 
     def test_no_terms_is_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -843,9 +898,10 @@ class TestRandomnessTest:
             sphere_randomness_test(Collective.periodic("ab"), 3, 1, 0, AFFINE1, 2, 6)
 
     def test_sparse_selector_rejected(self):
+        # too few checkpoints is missing data (exit 4), as for the trace commands
         c = Collective.periodic("0", alphabet="01")
         sparse = SequenceSelector(5, "truncation", target=Fraction(7))
-        with pytest.raises(DomainError):
+        with pytest.raises(InsufficientData):
             sphere_randomness_test(c, 5, 1, 0, sparse, 2, 6)
 
 

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+from itertools import islice
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicprob.errors import DomainError, PrecisionExhausted, RangeError
@@ -14,6 +16,7 @@ from padicprob.padic import (
     Sphere,
     abs_p,
     as_fraction,
+    binomial_terms,
     digit_count,
     dist_p,
     factorial_vp,
@@ -21,6 +24,7 @@ from padicprob.padic import (
     from_digits,
     in_ball,
     in_sphere,
+    ratio_terms,
     series_eval,
     to_approx,
     to_digits,
@@ -338,6 +342,164 @@ class TestSeriesEval:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             series_eval("tanh", to_approx(3, 3, 4))
+
+
+# -- the summation loops series_eval used before the ratio-term kernel, as oracles
+
+def _exp_like_sum(kind, rep, v, p, target):
+    total = Fraction(0)
+    term = Fraction(1)
+    m = 0
+    while True:
+        bound = Fraction(m) * v - Fraction(m - 1, p - 1) if m else Fraction(0)
+        if m and bound >= target:
+            break
+        if kind == "exp" or (kind == "cosh" and m % 2 == 0) or (kind == "sinh" and m % 2 == 1):
+            total += term
+        m += 1
+        term = term * rep / m
+    return total
+
+
+def _log1p_sum(rep, v, p, target):
+    total = Fraction(0)
+    power = Fraction(1)
+    m = 0
+    while True:
+        m += 1
+        power *= rep
+        if m > 1 and m * v - (digit_count(m, p) - 1) >= target:
+            break
+        total += power / m if m % 2 == 1 else -power / m
+    return total
+
+
+def _binomial_loop(rep, v, p, target, a_rep, a_prec):
+    total = Fraction(0)
+    coeff = Fraction(1)
+    power = Fraction(1)
+    m = 0
+    a_err = math.inf
+    while m * v < target:
+        total += coeff * power
+        if m >= 1 and a_prec != math.inf:
+            a_err = min(a_err, a_prec - factorial_vp(m, p) + m * v)
+        coeff = coeff * (a_rep - m) / (m + 1)
+        power *= rep
+        m += 1
+    out_prec = min(target, a_err)
+    if out_prec <= 0:
+        raise PrecisionExhausted("binomial series result retains no precision")
+    return PadicApprox.from_rational_abs(total, p, out_prec)
+
+
+def _series_eval_loops(kind, x, a=None):
+    """series_eval as it was written with one loop per kind."""
+    p = x.prime
+    if kind in ("exp", "cosh", "sinh"):
+        need = 2 if p == 2 else 1
+        if x.exact_zero:
+            return PadicApprox.zero(p) if kind == "sinh" else PadicApprox.from_rational(1, p)
+        if x.valuation < need or not x.digits:
+            raise DomainError(kind)
+        total = _exp_like_sum(kind, x.rational_rep(), x.valuation, p, x.abs_precision)
+        return PadicApprox.from_rational_abs(total, p, x.abs_precision)
+    if kind == "log1p":
+        if x.exact_zero:
+            return PadicApprox.zero(p)
+        if x.valuation < 1 or not x.digits:
+            raise DomainError(kind)
+        total = _log1p_sum(x.rational_rep(), x.valuation, p, x.abs_precision)
+        return PadicApprox.from_rational_abs(total, p, x.abs_precision)
+    if a is None:
+        raise RangeError("binomial series needs the exponent a")
+    if isinstance(a, PadicApprox):
+        if a.exact_zero:
+            a_rep, a_prec = Fraction(0), math.inf
+        else:
+            if a.valuation < 0:
+                raise DomainError(kind)
+            a_rep, a_prec = a.rational_rep(), a.abs_precision
+    else:
+        a_rep, a_prec = as_fraction(a), math.inf
+        if vp(a_rep, p) < 0:
+            raise DomainError(kind)
+    if x.exact_zero:
+        return PadicApprox.from_rational(1, p)
+    if x.valuation < 1 or not x.digits:
+        raise DomainError(kind)
+    return _binomial_loop(x.rational_rep(), x.valuation, p, x.abs_precision, a_rep, a_prec)
+
+
+@st.composite
+def _series_calls(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    kind = draw(st.sampled_from(["exp", "cosh", "sinh", "log1p", "binomial"]))
+    shape = draw(st.sampled_from(["digits", "digits", "digits", "exact zero", "inexact zero"]))
+    v = draw(st.integers(0, 4))
+    if shape == "exact zero":
+        x = PadicApprox.zero(p)
+    elif shape == "inexact zero":
+        x = PadicApprox(p, v, ())
+    else:
+        unit = draw(st.fractions(-(10**6), 10**6, max_denominator=10**3).filter(
+            lambda u: u and vp(u, p) == 0))
+        x = PadicApprox.from_rational(unit * Fraction(p) ** v, p, draw(st.integers(1, 45)))
+    a = None
+    if kind == "binomial":
+        exact = draw(st.fractions(-50, 50, max_denominator=12))
+        a = draw(st.sampled_from([
+            exact,
+            PadicApprox.zero(p),
+            PadicApprox(p, draw(st.integers(-1, 6)), ()),
+            to_approx(exact, p, draw(st.integers(1, 12))) if exact else PadicApprox.zero(p),
+        ]))
+    return kind, x, a
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the error class is part of the contract
+        return type(exc)
+    return out.prime, out.valuation, out.digits, out.exact_zero
+
+
+class TestRatioTerms:
+    def test_running_product(self):
+        assert list(islice(ratio_terms(lambda m: m), 5)) == [1, 1, 2, 6, 24]
+        assert list(islice(binomial_terms(5, 2), 7)) == [math.comb(5, m) * 2**m for m in range(7)]
+
+    @given(st.fractions(-20, 20, max_denominator=9), st.integers(0, 25))
+    def test_binomial_terms_match_per_m_loop(self, a, m):
+        # the former falling_binomial loop, one product per m
+        direct = Fraction(1)
+        for j in range(m):
+            direct = direct * (a - j) / (j + 1)
+        assert falling_binomial(a, m) == direct
+        assert list(islice(binomial_terms(a), m + 1))[m] == direct
+
+    def test_falling_binomial_refuses_negative_m(self):
+        with pytest.raises(RangeError):
+            falling_binomial(Fraction(1, 2), -1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_series_calls())
+    def test_series_eval_matches_loops(self, call):
+        kind, x, a = call
+        assert _outcome(series_eval, kind, x, a) == _outcome(_series_eval_loops, kind, x, a)
+
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(1, 30))
+    def test_least_known_exponent_keeps_a_digit(self, p, v, digits):
+        # a = O(p**0) is the least precise p-adic integer; since
+        # m*v - v_p(m!) >= 1, the sum still keeps the first digit, so the
+        # loops' PrecisionExhausted branch is never reached
+        x = to_approx(Fraction(p) ** v, p, digits)
+        a = PadicApprox(p, 0, ())
+        out = series_eval("binomial", x, a)
+        assert out.abs_precision >= 1
+        assert v > 1 or out.abs_precision == 1  # at v = 1 the m = 1 term keeps one digit
+        assert _outcome(series_eval, "binomial", x, a) == _outcome(_series_eval_loops, "binomial", x, a)
 
 
 class TestDigits:

@@ -171,3 +171,36 @@ def test_cosh_scaled_sq_at_one_is_cosh():
 def test_cosh_scaled_sq_rejects_zero():
     with pytest.raises(DomainError):
         cosh_scaled_sq(0, 4)
+
+
+def _exp_scaled_loop(c, order):
+    # the former exp_scaled coefficient loop
+    coeffs = [Fraction(1)]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * c / k)
+    return coeffs
+
+
+def _cosh_scaled_sq_loop(n, order):
+    # the former cosh_scaled_sq coefficient loop
+    coeffs = [Fraction(0)] * (order + 1)
+    c = Fraction(1)
+    k = 0
+    while 2 * k <= order:
+        coeffs[2 * k] = c
+        k += 1
+        c = c / (n * (2 * k - 1) * (2 * k))
+    return coeffs
+
+
+RATIOS = st.fractions(-30, 30, max_denominator=11)
+
+
+@given(RATIOS, st.integers(-3, 30))
+def test_exp_scaled_matches_loop(c, order):
+    assert exp_scaled(c, order).coeffs == tuple(_exp_scaled_loop(c, order))
+
+
+@given(RATIOS.filter(bool), st.integers(0, 30))
+def test_cosh_scaled_sq_matches_loop(n, order):
+    assert cosh_scaled_sq(n, order).coeffs == tuple(_cosh_scaled_sq_loop(n, order))
