@@ -22,13 +22,14 @@ from . import limits
 from .cylinder import UniformMeasure, digit_weight_map, integrate_continuous
 from .errors import HypothesisViolation, InsufficientData, PadicProbError, RangeError
 from .frequency import Collective, conditional_s_probability, parse_selector, s_probability
-from .padic import DEFAULT_PRECISION, PadicApprox, Prime, abs_p, as_fraction, to_approx, vp
+from .padic import DEFAULT_PRECISION, Prime, abs_p, as_fraction, to_approx, vp
 from .reports import (
     EXPONENT,
     INT,
     RATIONAL,
     format_exponent,
     format_rational,
+    format_value,
     json_exponent,
     table_lines,
 )
@@ -84,14 +85,6 @@ def _say(msg):
 def _echo_config(args):
     cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     _say("config " + json.dumps(cfg, sort_keys=True, default=str))
-
-
-def _value_repr(value):
-    if value is None:
-        return None
-    if isinstance(value, PadicApprox):
-        return str(value)
-    return format_rational(value)
 
 
 def _collective_from_args(args):
@@ -158,23 +151,6 @@ def _cmd_valuation(args):
     _say(f"valuation: v_{p}({format_rational(x)}) = {format_exponent(v)}, abs = {format_rational(a)}")
 
 
-def _outcome_lines(outcome, fmt):
-    lines = outcome.trace.csv_lines() if fmt == "csv" else outcome.trace.jsonl_lines()
-    if fmt == "json":
-        lines.append(
-            json.dumps(
-                {
-                    "verdict": outcome.verdict,
-                    "value": _value_repr(outcome.value),
-                    "note": outcome.note,
-                    "params": outcome.params,
-                },
-                sort_keys=True,
-            )
-        )
-    return lines
-
-
 def _cmd_freq(args):
     p = Prime(args.prime)
     collective = _collective_from_args(args)
@@ -186,17 +162,12 @@ def _cmd_freq(args):
         )
     else:
         outcome = s_probability(collective, args.labels, selector, args.kmax, **kwargs)
-    _emit(_outcome_lines(outcome, args.format), args.output)
-    _say(f"freq: {outcome.verdict} value={_value_repr(outcome.value)} ({outcome.note})")
+    _emit(outcome.report_lines(args.format), args.output)
+    _say(f"freq: {outcome.verdict} value={format_value(outcome.value)} ({outcome.note})")
 
 
 def _trace_lines(traces, fmt):
-    lines = []
-    for trace in traces:
-        lines.extend(trace.csv_lines() if fmt == "csv" else trace.jsonl_lines())
-        if fmt == "json":
-            lines.append(trace.verdict_json())
-    return lines
+    return [line for trace in traces for line in trace.report_lines(fmt)]
 
 
 def _summarize_trace(name, trace):
@@ -339,20 +310,7 @@ def _cmd_test(args):
         collective, p, args.l, args.r, selector, args.eps_exp, args.kmax,
         kmin=args.kmin, mode=args.mode,
     )
-    lines = table_lines(limits.CHECKPOINT_COLUMNS, result.rows, args.format)
-    if args.format == "json":
-        lines.append(
-            json.dumps(
-                {
-                    "verdict": result.verdict,
-                    "k_eps": result.k_eps,
-                    "first_hit_k": result.first_hit_k,
-                    "params": result.params,
-                },
-                sort_keys=True,
-            )
-        )
-    _emit(lines, args.output)
+    _emit(result.report_lines(args.format), args.output)
     _say(f"test: {result.verdict} (k_eps={result.k_eps}, first_hit_k={result.first_hit_k})")
 
 

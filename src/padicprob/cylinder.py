@@ -408,9 +408,6 @@ class IntegrationResult:
         row = (self.depth, self.riemann_sum, self.error_exponent)
         return table_lines(_INTEGRATION_COLUMNS, [row], fmt)
 
-    def to_json(self) -> str:
-        return self.report_lines("json")[0]
-
 
 def integrate_continuous(
     measure: CylinderMeasure, f: ContinuousMap, depth: int

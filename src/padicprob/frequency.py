@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
 )
 from .padic import Ball, PadicApprox, Prime, as_fraction, digit_count, vp
-from .reports import EXPONENT, INT, RATIONAL, format_rational, table_lines
+from .reports import EXPONENT, INT, RATIONAL, format_rational, format_value, table_lines
 
 LOGGER = logging.getLogger(__name__)
 
@@ -392,12 +392,6 @@ class FrequencyTrace:
     rows: tuple[FreqRow, ...]
     metric: str  # "padic:<p>" or "real"
 
-    def csv_lines(self):
-        return table_lines(_FREQ_COLUMNS, self.rows, "csv")
-
-    def jsonl_lines(self):
-        return table_lines(_FREQ_COLUMNS, self.rows, "json")
-
 
 @dataclass
 class LimitOutcome:
@@ -406,6 +400,13 @@ class LimitOutcome:
     trace: FrequencyTrace
     note: str = CAUCHY_NOTE
     params: dict = field(default_factory=dict)
+
+    def report_lines(self, fmt: str) -> list[str]:
+        """The trace rows; in JSON then {verdict, value, note, params}."""
+        summary = dict(
+            verdict=self.verdict, value=format_value(self.value), note=self.note, params=self.params
+        )
+        return table_lines(_FREQ_COLUMNS, self.trace.rows, fmt, summary)
 
 
 def decimal_exponent(x: Fraction) -> int:

@@ -16,7 +16,6 @@ p-adically below a significance threshold.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -248,22 +247,15 @@ class ConvergenceTrace:
     def final_valuation(self):
         return self.rows[-1].distance_exponent
 
-    def csv_lines(self):
-        return table_lines(_TRACE_COLUMNS, self.rows, "csv")
-
-    def jsonl_lines(self):
-        return table_lines(_TRACE_COLUMNS, self.rows, "json")
-
-    def verdict_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem": self.tag,
-                "params": self.params,
-                "verdict": self.verdict,
-                "final_valuation": json_exponent(self.final_valuation),
-            },
-            sort_keys=True,
-        )
+    def report_lines(self, fmt: str) -> list[str]:
+        """The trace rows; in JSON then {theorem, params, verdict, final_valuation}."""
+        summary = {
+            "theorem": self.tag,
+            "params": self.params,
+            "verdict": self.verdict,
+            "final_valuation": json_exponent(self.final_valuation),
+        }
+        return table_lines(_TRACE_COLUMNS, self.rows, fmt, summary)
 
 
 def _eventually_nondecreasing(vals) -> bool:
@@ -423,6 +415,8 @@ def mahler_row(params: BernoulliParams, a, mmax: int) -> list[Fraction]:
     m = 0..mmax, exact a, as one running product."""
     if mmax < 0:
         raise RangeError("mmax must be a natural")
+    if vp(a, params.prime) < 0:
+        raise DomainError("exponent must be a p-adic integer")
     return list(islice(binomial_terms(a, params.q_prime), mmax + 1))
 
 
@@ -591,7 +585,7 @@ class CheckpointRow(NamedTuple):
     prob_exponent: object  # v_p of the event probability
 
 
-CHECKPOINT_COLUMNS = (
+_CHECKPOINT_COLUMNS = (
     ("k", INT), ("N_k", INT), ("S", INT), ("hit", FLAG), ("prob", RATIONAL), ("vp_prob", EXPONENT)
 )
 
@@ -609,6 +603,13 @@ class RandomnessResult:
     @property
     def rejected(self) -> bool:
         return self.verdict in ("PersistentHit", "Rejected")
+
+    def report_lines(self, fmt: str) -> list[str]:
+        """The checkpoint rows; in JSON then {verdict, k_eps, first_hit_k, params}."""
+        summary = dict(
+            verdict=self.verdict, k_eps=self.k_eps, first_hit_k=self.first_hit_k, params=self.params
+        )
+        return table_lines(_CHECKPOINT_COLUMNS, self.rows, fmt, summary)
 
 
 def check_event_depth(depth: int) -> None:
@@ -750,6 +751,9 @@ def hit_union_probability(
 ) -> Fraction:
     """P(some checkpoint at position >= from_index hits), exactly, by
     disjointification of the joint hit law, summed as integers over the
-    common power-of-two denominator."""
+    common power-of-two denominator. A from_index past the last checkpoint
+    gives 0, the probability of an empty union."""
+    if from_index < 0:
+        raise RangeError("from_index must be >= 0")
     numerators, n = _pattern_numerators(prime, depth, center, terms, mode)
     return Fraction(sum(val for pat, val in numerators.items() if any(pat[from_index:])), 2**n)

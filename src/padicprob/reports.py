@@ -7,7 +7,7 @@ rational takes the two columns name_num,name_den, an exponent is spelled
 by format_exponent and a flag is 0/1. JSON output is one object per row
 with sorted keys: a rational is format_rational's "num/den" (the integer
 alone when the denominator is 1), an exponent goes through json_exponent
-and a flag is a boolean.
+and a flag is a boolean. A given summary is one more JSON object; CSV has none.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+
+from .padic import PadicApprox
 
 INT = "int"
 RATIONAL = "rational"
@@ -50,6 +52,15 @@ def json_exponent(e):
     return int(e)
 
 
+def format_value(value):
+    """A limit's value as report text: a PadicApprox's str, a rational's num/den, None as None."""
+    if value is None:
+        return None
+    if isinstance(value, PadicApprox):
+        return str(value)
+    return format_rational(value)
+
+
 _CSV_CELL = {
     INT: str,
     RATIONAL: lambda x: f"{x.numerator},{x.denominator}",
@@ -59,9 +70,9 @@ _CSV_CELL = {
 _JSON_VALUE = {INT: int, RATIONAL: format_rational, EXPONENT: json_exponent, FLAG: bool}
 
 
-def table_lines(columns, rows, fmt: str) -> list[str]:
-    """The lines of a report in `fmt` ("csv" or "json"): a CSV header and
-    one line per row, or one JSON object per row."""
+def table_lines(columns, rows, fmt: str, summary=None) -> list[str]:
+    """The lines of a report in `fmt` ("csv" or "json"): a CSV header and one
+    line per row, or one JSON object per row and then the summary, if given."""
     if fmt == "csv":
         head = ",".join(
             f"{name}_num,{name}_den" if kind == RATIONAL else name for name, kind in columns
@@ -69,7 +80,10 @@ def table_lines(columns, rows, fmt: str) -> list[str]:
         cells = [_CSV_CELL[kind] for _, kind in columns]
         return [head] + [",".join(cell(v) for cell, v in zip(cells, row)) for row in rows]
     values = [(name, _JSON_VALUE[kind]) for name, kind in columns]
-    return [
+    lines = [
         json.dumps({name: value(v) for (name, value), v in zip(values, row)}, sort_keys=True)
         for row in rows
     ]
+    if summary is not None:
+        lines.append(json.dumps(summary, sort_keys=True))
+    return lines

@@ -2,7 +2,8 @@
 
 A FormalSeries holds coefficients c_0..c_D of a series truncated at
 order D. Binary operations demand equal truncation orders (OrderError
-otherwise) so precision never silently degrades.
+otherwise) so precision never silently degrades. Every constructor
+refuses a negative truncation order with RangeError.
 """
 
 from __future__ import annotations
@@ -126,7 +127,13 @@ class FormalSeries:
         return f"FormalSeries([{shown}{tail}], order={self.order})"
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise RangeError("truncation order must be >= 0")
+
+
 def constant(c, order: int) -> FormalSeries:
+    _check_order(order)
     return FormalSeries([as_fraction(c)] + [Fraction(0)] * order)
 
 
@@ -146,9 +153,9 @@ def exp_series(order: int) -> FormalSeries:
 
 def exp_scaled(c, order: int) -> FormalSeries:
     """exp(c*z) truncated: coefficients c**k / k!."""
+    _check_order(order)
     c = as_fraction(c)
-    # a negative order keeps the constant term, as one(order) does
-    return FormalSeries(islice(ratio_terms(lambda k: c / k), max(order, 0) + 1))
+    return FormalSeries(islice(ratio_terms(lambda k: c / k), order + 1))
 
 
 def cosh_series(order: int) -> FormalSeries:
@@ -162,6 +169,7 @@ def sinh_series(order: int) -> FormalSeries:
 
 
 def log1p_series(order: int) -> FormalSeries:
+    _check_order(order)
     coeffs = [Fraction(0)]
     for k in range(1, order + 1):
         coeffs.append(Fraction(1, k) if k % 2 == 1 else Fraction(-1, k))
@@ -171,6 +179,7 @@ def log1p_series(order: int) -> FormalSeries:
 def cosh_scaled_sq(n, order: int) -> FormalSeries:
     """cosh(z/sqrt(n)) written through even powers only: the coefficient
     of z**(2k) is 1/(n**k (2k)!), so no square root is ever taken."""
+    _check_order(order)
     n = as_fraction(n)
     if n == 0:
         raise DomainError("scaling by 1/sqrt(0)")

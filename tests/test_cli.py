@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -141,7 +144,7 @@ class TestTraceCommands:
             )
             assert sys.get_int_max_str_digits() == 5000
             sys.set_int_max_str_digits(0)
-            expected = list(binomial_ball_trace(3, 2, 1, 1, kmax=9).csv_lines())
+            expected = binomial_ball_trace(3, 2, 1, 1, kmax=9).report_lines("csv")
         finally:
             sys.set_int_max_str_digits(old)
         assert rc == 0
@@ -283,6 +286,15 @@ class TestCltAndMahler:
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [message]
         assert "bounded=" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("a,code", [("1/3", 5), ("1/2", 0)])
+    def test_mahler_exponent_must_be_padic_integer(self, capsys, a, code, fmt):
+        rc, out, err = run(capsys, ["mahler", "--prime", "3", "--a", a, "--format", fmt])
+        assert rc == code
+        assert (out == "") == (code != 0)
+        if code:
+            assert err.splitlines()[-1] == "error: exponent must be a p-adic integer"
 
     def test_clt_check_exploratory(self, capsys):
         rc, _, err = run(
@@ -478,6 +490,34 @@ class TestFreq:
         assert rc == EXIT_CODES["parse"]
         assert out == ""
         assert err.splitlines()[-1] == f"error: the Cauchy window needs at least one gap, got {window}"
+
+
+@pytest.mark.parametrize("summary", [None, {}, {"verdict": "NoLimit", "b": None}])
+def test_table_summary_line(summary):
+    # a summary, {} included, is one more JSON line; CSV has none
+    columns = (("k", INT), ("x", RATIONAL))
+    rows = [(1, Fraction(1, 2))]
+    assert table_lines(columns, rows, "csv", summary) == ["k,x_num,x_den", "1,1,2"]
+    tail = [] if summary is None else [json.dumps(summary, sort_keys=True)]
+    assert table_lines(columns, rows, "json", summary) == ['{"k": 1, "x": "1/2"}'] + tail
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples(capsys):
+    # each `$ padicprob ...` block: its stdout lines, then "with `SUMMARY` on stderr"
+    examples = re.findall(
+        r"```\n\$ padicprob ([^\n]+)\n(.*?)```\n\nwith `([^`]+)` on stderr",
+        README.read_text(),
+        re.S,
+    )
+    assert [shlex.split(cmd)[0] for cmd, _, _ in examples] == ["thm31", "test"]
+    for cmd, stdout, summary in examples:
+        rc, out, err = run(capsys, shlex.split(cmd))
+        assert rc == 0
+        assert out.splitlines() == stdout.splitlines()
+        assert summary in err.splitlines()
 
 
 class TestPlumbing:

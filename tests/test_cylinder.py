@@ -460,7 +460,7 @@ class TestContinuousIntegration:
 
     def test_to_json(self):
         res = integrate_continuous(CylinderMeasure(2, 3, 1, BERN), digit_weight_map(2, 3), 2)
-        assert res.to_json() == '{"depth": 2, "error_exponent": 1, "value": "13/6"}'
+        assert res.report_lines("json") == ['{"depth": 2, "error_exponent": 1, "value": "13/6"}']
 
     def test_zero_measure_exact(self):
         res = integrate_continuous(zero_measure(2, 3), digit_weight_map(2, 3), 3)

@@ -40,6 +40,25 @@ def test_no_bare_value_error_raised():
     assert found == []
 
 
+def test_every_import_is_used():
+    # a deleted call must not leave its import behind; __init__ only re-exports
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
 @pytest.mark.parametrize("cls", [errors.InvalidTarget, errors.InvalidLabel, errors.DigitRange])
 def test_argument_errors_are_range_errors(cls):
     assert issubclass(cls, errors.RangeError)

@@ -352,14 +352,18 @@ class TestSProbability:
         c = Collective.alternating()
         sel = SequenceSelector(3, "affine", target=Fraction(1), t=1)
         out = s_probability(c, "1", sel, kmax=5, cauchy_threshold=3)
-        lines = list(out.trace.csv_lines())
+        lines = out.report_lines("csv")
         assert lines[0] == "k,N_k,nu_num,nu_den,vp_gap"
         assert len(lines) == 6
         assert all(line.count(",") == 4 for line in lines)
         import json
 
-        rows = [json.loads(s) for s in out.trace.jsonl_lines()]
+        rows = [json.loads(s) for s in out.report_lines("json")[:-1]]
         assert rows[0]["N_k"] == 4 and rows[0]["vp_gap"] is None
+        summary = json.loads(out.report_lines("json")[-1])
+        assert summary == {
+            "verdict": out.verdict, "value": str(out.value), "note": out.note, "params": out.params
+        }
 
     def test_gap_exponents_match_direct_computation(self):
         c = Collective.random_bits(11)

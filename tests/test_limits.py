@@ -1,6 +1,7 @@
 """Exact Bernoulli-sum laws, convergence traces, Mahler coefficients,
 and the checkpoint randomness test."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -382,15 +383,14 @@ class TestBallTraces:
 
     def test_csv_and_json_shapes(self):
         t = binomial_ball_trace(3, 2, 1, 1, kmax=2)
-        lines = list(t.csv_lines())
+        lines = t.report_lines("csv")
         assert lines[0] == "k,N_k,value_num,value_den,vp_to_limit"
         assert lines[1] == "1,5,5,16,1"
         assert lines[2] == "2,11,341,1024,2"
-        assert (
-            list(t.jsonl_lines())[0]
-            == '{"N_k": 5, "k": 1, "value": "5/16", "vp_to_limit": 1}'
-        )
-        v = t.verdict_json()
+        json_lines = t.report_lines("json")
+        assert json_lines[0] == '{"N_k": 5, "k": 1, "value": "5/16", "vp_to_limit": 1}'
+        assert len(json_lines) == 3
+        v = json_lines[-1]
         assert '"theorem": "binomial-ball-limit"' in v
         assert '"verdict": "Inconclusive"' in v
         assert '"final_valuation": 2' in v
@@ -540,9 +540,21 @@ class TestMahlerRow:
                 c = c * (a - j) / (j + 1)
             return SYM3.q_prime**m * c
 
+        if vp(a, 3) < 0:
+            with pytest.raises(DomainError, match="exponent must be a p-adic integer"):
+                mahler_row(SYM3, a, mmax)
+            return
         row = mahler_row(SYM3, a, mmax)
         assert row == [per_m(m) for m in range(mmax + 1)]
         assert row == [mahler_lambda(SYM3, a, m) for m in range(mmax + 1)]
+
+    def test_non_integer_exponent_refused(self):
+        # (1-q)**m C(a, m) is no law's Mahler coefficient when v_p(a) < 0
+        with pytest.raises(DomainError, match="exponent must be a p-adic integer"):
+            mahler_row(BernoulliParams(3, "1/2"), "1/3", 3)
+        with pytest.raises(DomainError, match="exponent must be a p-adic integer"):
+            mahler_lambda(SYM3, Fraction(1, 3), 2)
+        assert mahler_row(SYM3, Fraction(1, 2), 1) == [1, Fraction(1, 4)]
 
     def test_negative_mmax_refused(self):
         with pytest.raises(RangeError, match="mmax must be a natural"):
@@ -832,6 +844,19 @@ class TestRandomnessTest:
         assert res.rows[1].event_prob == Fraction(165, 512)
         assert all(r.hit for r in res.rows)
 
+    def test_report_lines(self):
+        c = Collective("01", symbols=checkpoint_forcing_bits(3, 1, 0, AFFINE1.terms(6)))
+        res = sphere_randomness_test(c, 3, 1, 0, AFFINE1, 2, 6)
+        csv = res.report_lines("csv")
+        assert csv[:2] == ["k,N_k,S,hit,prob_num,prob_den,vp_prob", "1,4,3,1,1,4,0"]
+        assert len(csv) == 7
+        rows = res.report_lines("json")
+        assert len(rows) == 7
+        assert json.loads(rows[0])["prob"] == "1/4"
+        assert json.loads(rows[-1]) == {
+            "verdict": "PersistentHit", "k_eps": 4, "first_hit_k": 4, "params": res.params
+        }
+
     def test_constant_zeros_not_rejected(self):
         c = Collective.periodic("0", alphabet="01")
         res = sphere_randomness_test(c, 3, 1, 0, AFFINE1, 2, 6)
@@ -1016,3 +1041,10 @@ class TestCheckpointPatterns:
         ]
         union = hit_union_probability(3, 1, 0, terms)
         assert max(marginals) <= union <= sum(marginals)
+
+    def test_union_from_index_bounds(self):
+        terms = [1 + 3**k for k in range(1, 5)]
+        with pytest.raises(RangeError, match="from_index must be >= 0"):
+            hit_union_probability(3, 1, 0, terms, from_index=-1)
+        # past the last checkpoint the union is empty
+        assert hit_union_probability(3, 1, 0, terms, from_index=len(terms)) == 0

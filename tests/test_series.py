@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicprob.errors import DomainError, OrderError
+from padicprob.errors import DomainError, OrderError, RangeError
 from padicprob.padic import falling_binomial
 from padicprob.series import (
     FormalSeries,
@@ -198,7 +198,30 @@ RATIOS = st.fractions(-30, 30, max_denominator=11)
 
 @given(RATIOS, st.integers(-3, 30))
 def test_exp_scaled_matches_loop(c, order):
+    if order < 0:
+        with pytest.raises(RangeError, match="truncation order must be >= 0"):
+            exp_scaled(c, order)
+        return
     assert exp_scaled(c, order).coeffs == tuple(_exp_scaled_loop(c, order))
+
+
+NEGATIVE_ORDER_BUILDS = {
+    "one": one,
+    "constant": lambda order: constant(2, order),
+    "exp_series": exp_series,
+    "exp_scaled": lambda order: exp_scaled(1, order),
+    "cosh_series": cosh_series,
+    "sinh_series": sinh_series,
+    "log1p_series": log1p_series,
+    "cosh_scaled_sq": lambda order: cosh_scaled_sq(1, order),
+}
+
+
+@pytest.mark.parametrize("build", NEGATIVE_ORDER_BUILDS.values(), ids=NEGATIVE_ORDER_BUILDS.keys())
+@pytest.mark.parametrize("order", [-1, -3])
+def test_negative_order_refused(build, order):
+    with pytest.raises(RangeError, match="truncation order must be >= 0"):
+        build(order)
 
 
 @given(RATIOS.filter(bool), st.integers(0, 30))
