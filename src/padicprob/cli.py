@@ -3,7 +3,8 @@
 Every subcommand prints a machine-readable report to stdout (CSV for
 plotting, JSON lines for pipelines; rationals always serialize as
 num/den, never as floats) and mirrors a one-line verdict summary plus a
-reproducible config echo to stderr.
+reproducible config echo to stderr. Handlers return their report and
+summary lines; `main` alone writes them, after the handler has finished.
 
 Exit codes (EXIT_CODES): 0 success, 2 refused argument (RangeError or
 an argparse error), 3 limit-theorem hypothesis violation, 4 insufficient
@@ -147,8 +148,8 @@ def _cmd_valuation(args):
                 sort_keys=True,
             )
         ]
-    _emit(lines, args.output)
-    _say(f"valuation: v_{p}({format_rational(x)}) = {format_exponent(v)}, abs = {format_rational(a)}")
+    summary = f"valuation: v_{p}({format_rational(x)}) = {format_exponent(v)}, abs = {format_rational(a)}"
+    return lines, [summary]
 
 
 def _cmd_freq(args):
@@ -162,16 +163,18 @@ def _cmd_freq(args):
         )
     else:
         outcome = s_probability(collective, args.labels, selector, args.kmax, **kwargs)
-    _emit(outcome.report_lines(args.format), args.output)
-    _say(f"freq: {outcome.verdict} value={format_value(outcome.value)} ({outcome.note})")
+    summary = f"freq: {outcome.verdict} value={format_value(outcome.value)} ({outcome.note})"
+    return outcome.report_lines(args.format), [summary]
 
 
-def _trace_lines(traces, fmt):
-    return [line for trace in traces for line in trace.report_lines(fmt)]
-
-
-def _summarize_trace(name, trace):
-    _say(f"{name}: {trace.verdict} final_valuation={format_exponent(trace.final_valuation)}")
+def _trace_report(named, fmt):
+    """Report lines and stderr summaries of (name, trace) pairs, in order."""
+    lines = [line for _, trace in named for line in trace.report_lines(fmt)]
+    summary = [
+        f"{name}: {trace.verdict} final_valuation={format_exponent(trace.final_valuation)}"
+        for name, trace in named
+    ]
+    return lines, summary
 
 
 def _cmd_thm31(args):
@@ -180,25 +183,21 @@ def _cmd_thm31(args):
         args.prime, args.m, args.r, args.l,
         kmax=args.kmax, t=args.t, selector=selector, threshold=args.threshold,
     )
-    _emit(_trace_lines([trace], args.format), args.output)
-    _summarize_trace("thm31", trace)
+    return _trace_report([("thm31", trace)], args.format)
 
 
 def _cmd_eq5(args):
     divisible, rest = limits.divisibility_balance_traces(
         args.prime, kmax=args.kmax, t=args.t, threshold=args.threshold
     )
-    _emit(_trace_lines([divisible, rest], args.format), args.output)
-    _summarize_trace("eq5[divisible]", divisible)
-    _summarize_trace("eq5[not-divisible]", rest)
+    return _trace_report([("eq5[divisible]", divisible), ("eq5[not-divisible]", rest)], args.format)
 
 
 def _cmd_thm32(args):
     trace = limits.prime_edge_trace(
         args.prime, args.r, args.l, kmax=args.kmax, t=args.t, threshold=args.threshold
     )
-    _emit(_trace_lines([trace], args.format), args.output)
-    _summarize_trace("thm32", trace)
+    return _trace_report([("thm32", trace)], args.format)
 
 
 def _cmd_lln(args):
@@ -208,9 +207,7 @@ def _cmd_lln(args):
     traces = limits.mahler_lln_traces(
         params, selector, args.mmax, args.kmax, threshold=args.threshold
     )
-    _emit(_trace_lines(traces.values(), args.format), args.output)
-    for m, trace in traces.items():
-        _summarize_trace(f"lln[m={m}]", trace)
+    return _trace_report([(f"lln[m={m}]", trace) for m, trace in traces.items()], args.format)
 
 
 def _cmd_clt(args):
@@ -231,8 +228,8 @@ def _cmd_clt(args):
                 sort_keys=True,
             )
         ]
-    _emit(lines, args.output)
-    _say(f"clt: a={format_rational(a)} order={args.order} z2={format_rational(series.coefficient(2))}")
+    summary = f"clt: a={format_rational(a)} order={args.order} z2={format_rational(series.coefficient(2))}"
+    return lines, [summary]
 
 
 def _cmd_mahler(args):
@@ -247,12 +244,17 @@ def _cmd_mahler(args):
         count = args.count
         if a == 1:
             report = limits.clt_mahler_bound_check(p, count)
-            seq = report.seq
+            seq, verdict = report.seq, {"bounded": report.bounded, "note": report.note}
+            summary = (
+                f"mahler: bounded={report.bounded} max_abs={report.max_abs.as_fraction()}"
+                f" ({report.note})"
+            )
         else:
             # exploratory: coefficient valuations only, no verdict
             order = count if count % 2 == 0 else count + 1
             seq = limits.charfun_to_mahler(limits.clt_series(a, order, p), count)
-            report = None
+            verdict = {}
+            summary = "mahler: exploratory run, coefficient valuations only, no verdict"
         if args.format == "csv":
             columns = (("m", INT), ("lambda", RATIONAL), ("vp", EXPONENT))
             rows = [(m, c, vp(c, p)) for m, c in enumerate(seq.coefficients)]
@@ -263,20 +265,10 @@ def _cmd_mahler(args):
                 "prime": int(p),
                 "coefficients": [format_rational(c) for c in seq.coefficients],
                 "valuations": [json_exponent(vp(c, p)) for c in seq.coefficients],
+                **verdict,
             }
-            if report is not None:
-                payload["bounded"] = report.bounded
-                payload["note"] = report.note
             lines = [json.dumps(payload, sort_keys=True)]
-        _emit(lines, args.output)
-        if report is not None:
-            _say(
-                f"mahler: bounded={report.bounded} max_abs={report.max_abs.as_fraction()}"
-                f" ({report.note})"
-            )
-        else:
-            _say("mahler: exploratory run, coefficient valuations only, no verdict")
-        return
+        return lines, [summary]
     params = limits.BernoulliParams(p, args.q)
     a = as_fraction(args.a)
     columns = [("m", INT), ("lambda", RATIONAL)]
@@ -284,16 +276,16 @@ def _cmd_mahler(args):
     if args.n is not None:
         columns.append(("empirical", RATIONAL))
         values.append(limits.empirical_mahler_row(params, args.n, args.mmax))
-    _emit(table_lines(columns, zip(*values), args.format), args.output)
-    _say(f"mahler: q={format_rational(params.q)} a={format_rational(a)} mmax={args.mmax}")
+    summary = f"mahler: q={format_rational(params.q)} a={format_rational(a)} mmax={args.mmax}"
+    return table_lines(columns, zip(*values), args.format), [summary]
 
 
 def _cmd_integrate(args):
     p = Prime(args.prime)
     measure = UniformMeasure(args.q, p)
     result = integrate_continuous(measure, digit_weight_map(args.q, p), args.depth)
-    _emit(result.report_lines(args.format), args.output)
-    _say(f"integrate: value={result.value!s} error_exponent={result.error_exponent}")
+    summary = f"integrate: value={result.value!s} error_exponent={result.error_exponent}"
+    return result.report_lines(args.format), [summary]
 
 
 def _cmd_test(args):
@@ -310,8 +302,8 @@ def _cmd_test(args):
         collective, p, args.l, args.r, selector, args.eps_exp, args.kmax,
         kmin=args.kmin, mode=args.mode,
     )
-    _emit(result.report_lines(args.format), args.output)
-    _say(f"test: {result.verdict} (k_eps={result.k_eps}, first_hit_k={result.first_hit_k})")
+    summary = f"test: {result.verdict} (k_eps={result.k_eps}, first_hit_k={result.first_hit_k})"
+    return result.report_lines(args.format), [summary]
 
 
 # -- parser ----------------------------------------------------------------
@@ -435,10 +427,13 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         with _unlimited_int_text():
-            args.func(args)
+            lines, summary = args.func(args)
+        _emit(lines, args.output)
     except PadicProbError as exc:
         _say(f"error: {exc}")
         return next(code for root, code in _ERROR_EXITS if isinstance(exc, root))
+    for line in summary:
+        _say(line)
     return EXIT_CODES["ok"]
 
 

@@ -155,10 +155,6 @@ class Clopen:
     def whole(cls, q) -> "Clopen":
         return cls(q, ((),))
 
-    @classmethod
-    def from_cylinder(cls, cyl: Cylinder) -> "Clopen":
-        return cls(cyl.q, (cyl.word,))
-
     @property
     def is_empty(self) -> bool:
         return not self.words
@@ -170,9 +166,6 @@ class Clopen:
     @property
     def max_depth(self) -> int:
         return max((len(w) for w in self.words), default=0)
-
-    def cylinders(self) -> list[Cylinder]:
-        return [Cylinder(self.q, w) for w in self.words]
 
     def _check(self, other) -> "Clopen":
         if not isinstance(other, Clopen):

@@ -147,6 +147,10 @@ class SumDistribution:
         return [Fraction(w, den) for w in _residue_law(a, b, self.n, self.n + 1)]
 
 
+#: the widest residue law computed; a wider one is refused, not allocated
+MAX_LAW_WIDTH = 2**20
+
+
 def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
     """Numerators N_r with P(S_n = r mod `mod`) = N_r / b**n, q = a/b.
 
@@ -157,8 +161,10 @@ def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
     multiplication and one exact small division, folded mod `mod`. The
     route depends only on n and mod; both give the same integers. The
     list has `mod` entries, so callers keep mod <= n + 1 where it may be
-    larger.
+    larger; a law wider than MAX_LAW_WIDTH raises RangeError.
     """
+    if mod > MAX_LAW_WIDTH:
+        raise RangeError(f"residue law mod {mod} is wider than the limit of {MAX_LAW_WIDTH} entries")
     c = b - a
     if mod**3 <= n:
         law = [1] + [0] * (mod - 1)
@@ -498,10 +504,6 @@ class MahlerSeq:
     series, from the substitution z = log(1 + w)."""
 
     coefficients: tuple[Fraction, ...]
-
-    def abs_exponents(self, prime) -> list:
-        p = Prime(prime)
-        return [vp(c, p) for c in self.coefficients]
 
     def max_abs(self, prime) -> PadicAbs:
         p = Prime(prime)

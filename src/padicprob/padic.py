@@ -503,15 +503,11 @@ class PadicApprox:
             raise RangeError("only nonnegative integer powers")
         if n == 0:
             return PadicApprox.from_rational(1, self.prime, DEFAULT_PRECISION)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if self.exact_zero:
+            return self
+        # the product rule min(v1+M2, v2+M1), applied n - 1 times
+        m = (n - 1) * self.valuation + self.abs_precision
+        return PadicApprox.from_rational_abs(self.rational_rep() ** n, self.prime, m)
 
     # -- display ----------------------------------------------------------
 

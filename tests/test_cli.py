@@ -184,6 +184,24 @@ class TestTraceCommands:
         assert out == ""
         assert err.splitlines()[-1] == "error: the selector yields no usable terms"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm31", "--m", "2", "--r", "1", "--l", "1", "--kmax", "1"],
+            ["eq5", "--kmax", "1"],
+        ],
+        ids=["thm31", "eq5"],
+    )
+    def test_residue_law_too_wide(self, capsys, argv):
+        # a law mod this prime would need a list of 2**64 entries
+        rc, out, err = run(capsys, argv + ["--prime", "18446744073709551557"])
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: residue law mod 18446744073709551557 is wider than the limit of 1048576 entries"
+        ]
+
     def test_lln(self, capsys):
         rc, out, err = run(
             capsys,
@@ -536,6 +554,22 @@ class TestPlumbing:
         assert rc == EXIT_CODES["parse"] == 2
         assert out == ""
         assert err.splitlines()[-1].startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+    def test_refused_run_writes_no_output_file(self, capsys, tmp_path, exists):
+        # the report is written only after the handler has finished
+        dest = tmp_path / "report.csv"
+        if exists:
+            dest.write_bytes(b"earlier report\n")
+        argv = ["thm31", "--prime", "3", "--m", "2", "--r", "3", "--l", "1", "--output", str(dest)]
+        rc, out, err = run(capsys, argv)
+        assert rc == EXIT_CODES["hypothesis"] == 3
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+        if exists:
+            assert dest.read_bytes() == b"earlier report\n"
+        else:
+            assert not dest.exists()
 
     def test_byte_identical_reruns(self, capsys):
         for argv in (

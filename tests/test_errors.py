@@ -40,6 +40,17 @@ def test_no_bare_value_error_raised():
     assert found == []
 
 
+def test_no_assert_statement():
+    # python -O strips assert statements, so the library never relies on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_every_import_is_used():
     # a deleted call must not leave its import behind; __init__ only re-exports
     unused = []

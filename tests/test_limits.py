@@ -800,7 +800,7 @@ class TestStirlingRows:
 
     def test_abs_exponents(self):
         seq = charfun_to_mahler(clt_series(1, 8), 6)
-        exps = seq.abs_exponents(3)
+        exps = [vp(c, 3) for c in seq.coefficients]
         assert exps[0] == 0
         assert exps[1] == math.inf
         assert all(e == 0 for e in exps[2:])

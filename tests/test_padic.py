@@ -240,6 +240,34 @@ class TestPadicApprox:
         assert (a**1) == a
         assert (a**0).congruent_to(1)
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_pow_matches_binary_powering(self, data):
+        # oracle: binary powering over __mul__, which applies the product rule step by step
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+        shape = data.draw(st.sampled_from(["digits", "exact zero", "inexact zero", "cancelled"]))
+        v = data.draw(st.integers(-3, 4))
+        if shape == "exact zero":
+            x = PadicApprox.zero(p)
+        elif shape == "inexact zero":
+            x = PadicApprox(p, v, ())
+        else:
+            unit = data.draw(RATIONALS.filter(lambda u: u and vp(u, p) == 0))
+            x = PadicApprox.from_rational(unit * Fraction(p) ** v, p, data.draw(st.integers(1, 12)))
+            if shape == "cancelled":  # a difference that loses leading digits, or all of them
+                near = x.rational_rep() + Fraction(p) ** (v + data.draw(st.integers(0, 14)))
+                x = x - PadicApprox.from_rational_abs(near, p, data.draw(st.integers(v, v + 14)))
+        n = data.draw(st.integers(0, 12))
+        expected = PadicApprox.from_rational(1, p) if n == 0 else None
+        base, k = x, n
+        while k:
+            if k & 1:
+                expected = base if expected is None else expected * base
+            k >>= 1
+            if k:
+                base = base * base
+        assert x**n == expected
+
     def test_agrees_with_uses_smaller_window(self):
         a = to_approx(1, 3, 2)
         b = to_approx(1 + 27, 3, 6)
