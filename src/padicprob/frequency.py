@@ -43,6 +43,9 @@ CAUCHY_NOTE = "Cauchy-window heuristic on finite evidence; not a convergence pro
 _WS = " \t\n\r\v\f"
 _STRIP_WS = str.maketrans("", "", _WS)
 
+#: the most residues a residue law or a tested event may list; more are refused, not allocated
+MAX_LAW_WIDTH = 2**20
+
 #: random_bits draws this many bits per getrandbits call
 _BIT_BLOCK = 4096
 #: byte -> "0" or "1" by its top bit
@@ -209,11 +212,14 @@ def event_residues(prime, depth: int, center: int, mode: str) -> tuple[int, froz
 
     mode "sphere": v_p(S - center) == depth, mod p**(depth+1);
     mode "residue": S - center is congruent mod p**depth to one of
-    1..p-1 (at depth 0 that holds for every S).
+    1..p-1 (at depth 0 that holds for every S). An event of more than
+    MAX_LAW_WIDTH residues raises RangeError.
     """
     p = Prime(prime)
     if depth < 0:
         raise RangeError("depth must be >= 0")
+    if p - 1 > MAX_LAW_WIDTH:
+        raise RangeError(f"the tested event lists {p - 1} residues, more than the limit of {MAX_LAW_WIDTH}")
     small = p**depth
     if mode == "sphere":
         return small * p, frozenset((center + u * small) % (small * p) for u in range(1, p))

@@ -290,8 +290,10 @@ class AdditivityReport:
 def additivity_check(d: GDistribution, family) -> AdditivityReport:
     """P(A u B) = P(A) + P(B) over every disjoint pair of the family,
     all sums exact. Pointwise-defined measures pass structurally; the
-    check exists to pin the additivity contract down, not to surprise."""
+    check exists to pin the additivity contract down, not to surprise.
+    Each distinct member's measure is summed once."""
     sets = [frozenset(a) for a in family]
+    table = {a: d.probability(a) for a in dict.fromkeys(sets)}
     checked = 0
     failures = []
     for i, a in enumerate(sets):
@@ -299,8 +301,9 @@ def additivity_check(d: GDistribution, family) -> AdditivityReport:
             if a & b:
                 continue
             checked += 1
-            lhs = d.probability(a | b)
-            rhs = d.context.add(d.probability(a), d.probability(b))
+            u = a | b
+            lhs = table[u] if u in table else d.probability(u)
+            rhs = d.context.add(table[a], table[b])
             if lhs != rhs:
                 failures.append((a, b, lhs, rhs))
     return AdditivityReport(not failures, checked, tuple(failures))
@@ -323,16 +326,11 @@ def unit_axiom_check(d: GDistribution, family) -> UnitAxiomReport:
     """
     ctx = d.context
     expected = ctx.rho(d.total)
-    sup = None
-    witness = None
-    for a in family:
-        a = frozenset(a)
-        r = ctx.rho(d.probability(a))
-        if sup is None or r > sup:
-            sup, witness = r, a
-    if sup is None:
+    rho = {a: ctx.rho(d.probability(a)) for a in dict.fromkeys(map(frozenset, family))}
+    if not rho:
         raise RangeError("empty family")
-    return UnitAxiomReport(sup == expected, sup, expected, witness)
+    witness = max(rho, key=rho.__getitem__)  # the first maximal event
+    return UnitAxiomReport(rho[witness] == expected, rho[witness], expected, witness)
 
 
 def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:

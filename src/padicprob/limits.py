@@ -32,7 +32,7 @@ from .errors import (
     PrecisionExhausted,
     RangeError,
 )
-from .frequency import Collective, SequenceSelector, event_residues
+from .frequency import MAX_LAW_WIDTH, Collective, SequenceSelector, event_residues
 from .padic import (
     PadicAbs,
     PadicApprox,
@@ -145,10 +145,6 @@ class SumDistribution:
         den = b**self.n
         # folding mod n + 1 keeps every j apart (and always takes the walk)
         return [Fraction(w, den) for w in _residue_law(a, b, self.n, self.n + 1)]
-
-
-#: the widest residue law computed; a wider one is refused, not allocated
-MAX_LAW_WIDTH = 2**20
 
 
 def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
@@ -332,8 +328,10 @@ def binomial_ball_trace(
     if selector is None:
         selector = SequenceSelector(p, "affine", target=Fraction(m), t=t)
     params = symmetric_params(p)
-    target = Fraction(comb(m, r), 2**m)
     terms = selector.terms(kmax)
+    # the rows come first, so a law too wide for them is refused before 2**m is built
+    values = {n: ball_probability(params, n, depth, r) for n in terms}
+    target = Fraction(comb(m, r), 2**m)
     meta = {
         "prime": int(p),
         "m": m,
@@ -347,7 +345,7 @@ def binomial_ball_trace(
         p,
         target,
         terms,
-        lambda n: ball_probability(params, n, depth, r),
+        values.__getitem__,
         threshold,
         meta,
     )

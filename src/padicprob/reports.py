@@ -33,13 +33,7 @@ def format_rational(x: Fraction) -> str:
 
 def format_exponent(e) -> str:
     """Render a valuation/exponent; infinities spelled out, None blank."""
-    if e is None:
-        return ""
-    if e == math.inf:
-        return "inf"
-    if e == -math.inf:
-        return "-inf"
-    return str(int(e))
+    return "" if e is None else str(json_exponent(e))
 
 
 def json_exponent(e):

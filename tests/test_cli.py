@@ -184,23 +184,30 @@ class TestTraceCommands:
         assert out == ""
         assert err.splitlines()[-1] == "error: the selector yields no usable terms"
 
+    TEST_ARGS = ["--l", "1", "--r", "0", "--scheme", "1+p^k", "--eps-exp", "1", "--kmax", "1"]
+    LAW_TOO_WIDE = "residue law mod 18446744073709551557 is wider than the limit of 1048576 entries"
+    EVENT_TOO_WIDE = "the tested event lists 18446744073709551556 residues, more than the limit of 1048576"
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ["thm31", "--m", "2", "--r", "1", "--l", "1", "--kmax", "1"],
-            ["eq5", "--kmax", "1"],
+            (["thm31", "--m", "2", "--r", "1", "--l", "1", "--kmax", "1"], LAW_TOO_WIDE),
+            (["eq5", "--kmax", "1"], LAW_TOO_WIDE),
+            # the rows are computed before the limit C(p, r)/2**p, whose denominator has 2**64 bits
+            (["thm32", "--r", "1", "--l", "1", "--kmax", "1"], LAW_TOO_WIDE),
+            # the event would list p - 1 residues, before any symbol is counted
+            (["test", "--periodic", "01"] + TEST_ARGS, EVENT_TOO_WIDE),
+            (["test", "--periodic", "01", "--mode", "residue"] + TEST_ARGS, EVENT_TOO_WIDE),
+            (["test", "--adversarial"] + TEST_ARGS, EVENT_TOO_WIDE),
         ],
-        ids=["thm31", "eq5"],
+        ids=["thm31", "eq5", "thm32", "test-periodic", "test-residue", "test-adversarial"],
     )
-    def test_residue_law_too_wide(self, capsys, argv):
+    def test_residue_law_too_wide(self, capsys, argv, error):
         # a law mod this prime would need a list of 2**64 entries
         rc, out, err = run(capsys, argv + ["--prime", "18446744073709551557"])
         assert rc == EXIT_CODES["parse"] == 2
         assert out == ""
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert errors == [
-            "error: residue law mod 18446744073709551557 is wider than the limit of 1048576 entries"
-        ]
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {error}"]
 
     def test_lln(self, capsys):
         rc, out, err = run(

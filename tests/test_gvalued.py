@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicprob.errors import NoRingStructure, NotInvertible, RegionNotSignificant
+from padicprob.errors import NoRingStructure, NotInvertible, RangeError, RegionNotSignificant
 from padicprob.frequency import Collective, SequenceSelector, checkpoint_forcing_bits
 from padicprob.gvalued import (
     PRACTICALLY_IMPOSSIBLE,
@@ -20,6 +22,7 @@ from padicprob.gvalued import (
     RationalPadicContext,
     RationalRealContext,
     SignificanceNeighborhood,
+    UnitAxiomReport,
     additivity_check,
     conditional,
     context_from_tag,
@@ -236,6 +239,107 @@ class TestUnitAxiom:
     def test_empty_family(self):
         with pytest.raises(ValueError):
             unit_axiom_check(CLASSICAL, [])
+
+
+class Skewed(AdditiveOnly):
+    """x + 2y: not associative, yet a sum over an event does not depend on
+    the order of its outcomes, so additivity fails the same way each run."""
+
+    tag = "skewed"
+
+    def add(self, x, y):
+        return x + 2 * y
+
+
+class Counting(GDistribution):
+    calls = 0
+
+    def probability(self, event):
+        self.calls += 1
+        return super().probability(event)
+
+
+def additivity_by_pairs(d, family):
+    """The per-pair route: every measure of every disjoint pair summed again."""
+    sets = [frozenset(a) for a in family]
+    checked, failures = 0, []
+    for i, a in enumerate(sets):
+        for b in sets[i:]:
+            if not a & b:
+                checked += 1
+                lhs = d.probability(a | b)
+                rhs = d.context.add(d.probability(a), d.probability(b))
+                if lhs != rhs:
+                    failures.append((a, b, lhs, rhs))
+    return AdditivityReport(not failures, checked, tuple(failures))
+
+
+def unit_axiom_by_loop(d, family):
+    """The sup over the family by hand; a strict > keeps the first maximal event."""
+    sup = witness = None
+    for a in map(frozenset, family):
+        r = d.context.rho(d.probability(a))
+        if sup is None or r > sup:
+            sup, witness = r, a
+    expected = d.context.rho(d.total)
+    return UnitAxiomReport(sup == expected, sup, expected, witness)
+
+
+SMALL = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+AXIOM_CONTEXTS = {
+    "real": (REAL, SMALL),
+    "padic": (RationalPadicContext(2), SMALL),
+    "product": (ProductContext(REAL, PADIC3), st.tuples(SMALL, SMALL)),
+    "skewed": (Skewed(), SMALL),
+}
+
+
+@st.composite
+def axiom_cases(draw):
+    ctx, weight = AXIOM_CONTEXTS[draw(st.sampled_from(sorted(AXIOM_CONTEXTS)))]
+    n = draw(st.integers(1, 6))
+    d = Counting(ctx, [(f"o{i}", draw(weight)) for i in range(n)])
+    field = powerset_field(d.outcomes)
+    # random sub-families repeat sets and are seldom closed under union
+    family = draw(st.one_of(
+        st.just(field),
+        st.lists(st.sampled_from(field), max_size=24),
+        st.lists(st.sampled_from(field), min_size=1, max_size=6).map(lambda f: f + f[::-1]),
+    ))
+    return d, family
+
+
+class TestAxiomChecksAgainstPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(axiom_cases())
+    def test_same_reports_one_measure_per_event(self, case):
+        d, family = case
+        expected = additivity_by_pairs(d, family)
+        d.calls = 0
+        assert additivity_check(d, family) == expected
+        members = set(family)
+        outside = sum(
+            1 for i, a in enumerate(family) for b in family[i:] if not a & b and a | b not in members
+        )
+        assert d.calls == len(members) + outside
+        if not family:
+            with pytest.raises(RangeError):
+                unit_axiom_check(d, family)
+            return
+        expected = unit_axiom_by_loop(d, family)
+        d.calls = 0
+        assert unit_axiom_check(d, family) == expected
+        assert d.calls == len(members) + 1  # the members and E
+
+    def test_skewed_failures_in_order(self):
+        d = GDistribution(Skewed(), {"x": Fraction(1), "y": Fraction(2)})
+        family = [frozenset(), frozenset("x"), frozenset("y"), frozenset("xy")]
+        report = additivity_check(d, family)
+        assert report == additivity_by_pairs(d, family)
+        # P(A u B) against P(A) + 2 P(B), pair by pair in family order
+        assert [(set(a), set(b), lhs, rhs) for a, b, lhs, rhs in report.failures] == [
+            (set(), {"x"}, 2, 4), (set(), {"y"}, 4, 8), (set(), {"x", "y"}, 6, 12), ({"x"}, {"y"}, 6, 10),
+        ]
 
 
 class TestConvolve:
