@@ -231,7 +231,11 @@ class GDistribution:
             if om in seen:
                 raise RangeError(f"repeated outcome {om!r} in event")
             seen.add(om)
-            total = ctx.add(total, self._w[om])
+            try:
+                w = self._w[om]
+            except KeyError:
+                raise RangeError(f"outcome {om!r} outside the experiment") from None
+            total = ctx.add(total, w)
         return total
 
     @property
@@ -342,13 +346,14 @@ def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
         raise RangeError(f"mismatched contexts {ctx.tag} vs {m2.context.tag}")
     if not ctx.is_ring:
         raise NoRingStructure(f"convolution needs ring weights; context {ctx.tag}")
+    right = [(ctx.coerce(x2), m2.weight(x2)) for x2 in m2.outcomes]
     acc: dict = {}
     for x1 in m1.outcomes:
         c1 = ctx.coerce(x1)
         w1 = m1.weight(x1)
-        for x2 in m2.outcomes:
-            s = ctx.add(c1, ctx.coerce(x2))
-            w = ctx.mul(w1, m2.weight(x2))
+        for c2, w2 in right:
+            s = ctx.add(c1, c2)
+            w = ctx.mul(w1, w2)
             acc[s] = ctx.add(acc[s], w) if s in acc else w
     return GDistribution(ctx, [(s, acc[s]) for s in sorted(acc)])
 

@@ -340,7 +340,14 @@ class PadicApprox:
         exact_zero: True only for the exact zero of Q_p.
 
     Arithmetic tracks worst-case precision: absolute precision of a sum
-    is the min of the operands', of a product min(v1+M2, v2+M1).
+    is the min of the operands', of a product min(v1+M2, v2+M1). The
+    arithmetic works on the integer units modulo p**n.
+
+    Examples:
+        >>> to_approx(Fraction(1, 2), 3, 4) + to_approx(Fraction(-1, 2), 3, 6)
+        PadicApprox(O(3^4) base 3)
+        >>> to_approx(3, 3, 4) * to_approx(Fraction(1, 2), 3, 2)
+        PadicApprox(3^1 * (2,1) base 3 prec 2)
     """
 
     __slots__ = ("prime", "valuation", "digits", "exact_zero")
@@ -348,14 +355,14 @@ class PadicApprox:
     def __init__(self, prime, valuation: int, digits: tuple[int, ...], exact_zero: bool = False):
         self.prime = Prime(prime)
         self.valuation = int(valuation)
-        self.digits = tuple(int(d) for d in digits)
+        self.digits = tuple(map(int, digits))
         self.exact_zero = bool(exact_zero)
         if self.exact_zero and (self.digits or self.valuation != 0):
             raise RangeError("exact zero carries no digits and valuation 0")
         if self.digits:
             if self.digits[0] == 0:
                 raise RangeError("leading digit must be nonzero")
-            if any(not 0 <= d < self.prime for d in self.digits):
+            if min(self.digits) < 0 or max(self.digits) >= self.prime:
                 raise RangeError("digit outside 0..p-1")
 
     # -- constructors ---------------------------------------------------
@@ -384,18 +391,26 @@ class PadicApprox:
         """
         p = Prime(p)
         x = as_fraction(x)
-        if x == 0:
-            return cls(p, abs_precision, ())
-        v = vp(x, p)
-        n = abs_precision - v
+        # x = p**-e * num / den with den prime to p, and the unit digits need
+        # num / den mod p**(abs_precision + e)
+        e = _int_vp(x.denominator, p)
+        n = abs_precision + e
         if n <= 0:
             # nothing survives at this precision: O(p**abs_precision)
             return cls(p, abs_precision, ())
-        # the digits of the unit part (num and den prime to p) mod p**n
-        unit = x / Fraction(p) ** v
-        mod = p**n
-        u = unit.numerator % mod * pow(unit.denominator, -1, mod) % mod
-        return cls(p, v, to_digits(u, p, n))
+        den = x.denominator // p**e
+        return cls._window(p, -e, x.numerator * pow(den, -1, p**n), abs_precision)
+
+    @classmethod
+    def _window(cls, p, v: int, u: int, m: int) -> "PadicApprox":
+        # p**v * u known modulo p**m, for an int u; a u that vanishes modulo
+        # p**(m - v) gives the inexact zero O(p**m)
+        n = m - v
+        u = u % p**n if n > 0 else 0
+        if not u:
+            return cls(p, m, ())
+        k = _int_vp(u, p)
+        return cls(p, v + k, to_digits(u // p**k, p, n - k))
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -459,7 +474,7 @@ class PadicApprox:
     def __neg__(self):
         if self.exact_zero:
             return self
-        return PadicApprox.from_rational_abs(-self.rational_rep(), self.prime, self.abs_precision)
+        return PadicApprox._window(self.prime, self.valuation, -self.unit_int(), self.abs_precision)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -467,10 +482,10 @@ class PadicApprox:
             return other
         if other.exact_zero:
             return self
-        m = min(self.abs_precision, other.abs_precision)
-        return PadicApprox.from_rational_abs(
-            self.rational_rep() + other.rational_rep(), self.prime, m
-        )
+        p, v = self.prime, min(self.valuation, other.valuation)
+        u = self.unit_int() * p ** (self.valuation - v)
+        u += other.unit_int() * p ** (other.valuation - v)
+        return PadicApprox._window(p, v, u, min(self.abs_precision, other.abs_precision))
 
     def __sub__(self, other):
         return self.__add__(-self._coerce(other))
@@ -480,8 +495,8 @@ class PadicApprox:
         if self.exact_zero or other.exact_zero:
             return PadicApprox.zero(self.prime)
         m = min(self.valuation + other.abs_precision, other.valuation + self.abs_precision)
-        return PadicApprox.from_rational_abs(
-            self.rational_rep() * other.rational_rep(), self.prime, m
+        return PadicApprox._window(
+            self.prime, self.valuation + other.valuation, self.unit_int() * other.unit_int(), m
         )
 
     def mul_rational(self, c) -> "PadicApprox":
@@ -489,8 +504,13 @@ class PadicApprox:
         c = as_fraction(c)
         if self.exact_zero or c == 0:
             return PadicApprox.zero(self.prime)
-        m = self.abs_precision + vp(c, self.prime)
-        return PadicApprox.from_rational_abs(self.rational_rep() * c, self.prime, m)
+        p = self.prime
+        # c = p**-e * num / den with den prime to p; the unit digits need den's
+        # inverse only modulo p**precision (pow(den, -1, 1) is 0: no digits)
+        e = _int_vp(c.denominator, p)
+        den = c.denominator // p**e
+        u = self.unit_int() * c.numerator * pow(den, -1, p ** len(self.digits))
+        return PadicApprox._window(p, self.valuation - e, u, self.abs_precision + vp(c, p))
 
     def div_rational(self, c) -> "PadicApprox":
         c = as_fraction(c)
@@ -501,13 +521,16 @@ class PadicApprox:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise RangeError("only nonnegative integer powers")
+        p = self.prime
         if n == 0:
-            return PadicApprox.from_rational(1, self.prime, DEFAULT_PRECISION)
+            return PadicApprox._window(p, 0, 1, DEFAULT_PRECISION)
         if self.exact_zero:
             return self
-        # the product rule min(v1+M2, v2+M1), applied n - 1 times
+        # the product rule min(v1+M2, v2+M1), applied n - 1 times; the unit
+        # is needed modulo p**(m - n*v) = p**precision
         m = (n - 1) * self.valuation + self.abs_precision
-        return PadicApprox.from_rational_abs(self.rational_rep() ** n, self.prime, m)
+        u = pow(self.unit_int(), n, p ** len(self.digits))
+        return PadicApprox._window(p, n * self.valuation, u, m)
 
     # -- display ----------------------------------------------------------
 
@@ -590,30 +613,43 @@ def falling_binomial(a: Fraction, m: int) -> Fraction:
     return next(itertools.islice(binomial_terms(a), m, None))
 
 
-def _binomial_exponent(a, p) -> tuple[Fraction, int | float]:
-    # the representative of a p-adic integer exponent and its absolute precision
+def _binomial_exponent(a, p) -> tuple[int, int, int | float]:
+    # a p-integral exponent as num / den (den prime to p) and its absolute precision
     if a is None:
         raise RangeError("binomial series needs the exponent a")
     if isinstance(a, PadicApprox):
         if a.prime != p:
             raise RangeError("mismatched primes between x and a")
-        rep, prec, v = a.rational_rep(), a.abs_precision, a.valuation  # exact zero: 0, inf, 0
-    else:
-        rep, prec = as_fraction(a), math.inf
-        v = vp(rep, p)
-    if v < 0:
+        if a.valuation < 0:  # exact zero: valuation 0, unit 0, precision inf
+            raise DomainError("binomial exponent must be a p-adic integer")
+        return p**a.valuation * a.unit_int(), 1, a.abs_precision
+    a = as_fraction(a)
+    if vp(a, p) < 0:
         raise DomainError("binomial exponent must be a p-adic integer")
-    return rep, prec
+    return a.numerator, a.denominator, math.inf
 
 
-def _series_sum(terms, bound, target: int) -> Fraction:
-    # bound(m) is a nondecreasing lower bound on v_p(term m), so once it
-    # reaches the target every remaining term is 0 mod p**target
-    total = Fraction(0)
-    for m, term in enumerate(terms):
-        if bound(m) >= target:
-            return total
-        total += term
+def _residue_terms(p, mod: int, ratio):
+    # t_0 = 1 and t_m = t_{m-1} * num / den for (num, den) = ratio(m), each
+    # yielded as (e, u): its exact valuation and its unit modulo mod, a power
+    # of p; the sequence ends at the first zero ratio
+    e, u = 0, 1
+    for m in itertools.count(1):
+        yield e, u
+        num, den = ratio(m)
+        if not num:
+            return
+        a, b = _int_vp(num, p), _int_vp(den, p)
+        e += a - b
+        u = u * (num // p**a) * pow(den // p**b, -1, mod) % mod
+
+
+def _exp_stop(p, v: int, target: int) -> int:
+    # the first m >= 2 with m*v - (m - 1)/(p - 1) >= target, a lower bound on
+    # v_p(x**m / m!) for v_p(x) = v since v_p(m!) <= (m - 1)/(p - 1); on the
+    # exp disc v*(p - 1) > 1, and the inequality reads
+    # m >= (target*(p - 1) - 1) / (v*(p - 1) - 1)
+    return max(2, -(-(target * (p - 1) - 1) // (v * (p - 1) - 1)))
 
 
 def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
@@ -635,42 +671,48 @@ def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
     if not isinstance(x, PadicApprox):
         raise TypeError("series_eval expects a PadicApprox argument")
     p = x.prime
-    a_rep, a_prec = _binomial_exponent(a, p) if kind == "binomial" else (None, math.inf)
+    a_num, a_den, a_prec = _binomial_exponent(a, p) if kind == "binomial" else (0, 1, math.inf)
     if x.exact_zero:  # at x = 0 each series is its constant term
         if kind in ("sinh", "log1p"):
             return PadicApprox.zero(p)
-        return PadicApprox.from_rational(1, p, DEFAULT_PRECISION)
+        return PadicApprox._window(p, 0, 1, DEFAULT_PRECISION)
     # v_p(x) >= 1 suffices, except that exp, cosh and sinh at p = 2 need v_2(x) >= 2
     need = 2 if p == 2 and kind in _EXP_KINDS else 1
     if x.valuation < need or not x.digits:
         raise DomainError(f"{kind} converges only for v_{p}(x) >= {need}; argument has {x!s}")
-    rep, v, target = x.rational_rep(), x.valuation, x.abs_precision
-    # target = v + len(digits) exceeds v >= 1, and each bound below is at most v
-    # at m = 0 and m = 1: those terms are always summed, so a bound need only
-    # hold from m = 2 on (the exp bound at m = 0, 1/(p-1), exceeds v_p(1) = 0)
+    v, target = x.valuation, x.abs_precision
+    rep = p**v * x.unit_int()
+    # Terms m < stop are summed: from m = stop on, a lower bound on v_p(term m)
+    # reaches the target. target = v + len(digits) exceeds v >= 1 and each
+    # bound is at most v at m = 0 and m = 1, so stop >= 2. Every summed term
+    # is p-integral, so its residue modulo p**target is all the sum needs.
+    first, step = 0, 1  # the summed terms are m = first, first + step, ... below stop
     if kind in _EXP_KINDS:
-        # rep**m / m!, and v_p(m!) <= (m - 1)/(p - 1) for m >= 1
-        parities = {"exp": (0, 1), "cosh": (0,), "sinh": (1,)}[kind]
-        exp_terms = ratio_terms(lambda m: rep / m)
-        terms = (t if m % 2 in parities else 0 for m, t in enumerate(exp_terms))
-        bound = lambda m: m * v - Fraction(m - 1, p - 1)
+        # rep**m / m!
+        stop = _exp_stop(p, v, target)
+        ratio = lambda m: (rep, m)
+        first, step = {"exp": (0, 1), "cosh": (0, 2), "sinh": (1, 2)}[kind]
     elif kind == "log1p":
-        # -(-rep)**m / m for m >= 1, and v_p(m) <= digit_count(m, p) - 1
-        powers = ratio_terms(lambda m: -rep)
-        terms = (-t / m if m else 0 for m, t in enumerate(powers))
-        bound = lambda m: m * v - (digit_count(m, p) - 1)
+        # -(-rep)**m / m for m >= 1, and v_p(m) <= digit_count(m, p) - 1; the
+        # ratio is -rep * (m - 1) / m from m = 2 on
+        stop = 2
+        while stop * v - (digit_count(stop, p) - 1) < target:
+            stop += 1
+        ratio = lambda m: (rep if m == 1 else -rep * (m - 1), m)
+        first = 1
     else:
-        terms = binomial_terms(a_rep, rep)
-        bound = lambda m: m * v
-    total = _series_sum(terms, bound, target)
+        # C(a, m) * rep**m, and v_p(C(a, m)) >= 0 for a p-integral a
+        stop = -(-target // v)
+        ratio = lambda m: (rep * (a_num - (m - 1) * a_den), a_den * m)
+    terms = itertools.islice(_residue_terms(p, p**target, ratio), first, stop, step)
+    total = sum(u * p**e for e, u in terms)
     out_prec = target
     if a_prec != math.inf:
-        # C(a, m) differs from C(a_rep, m) by at most p**-(a_prec - v_p(m!)), so
+        # C(a, m) differs from C(a_num/a_den, m) by at most p**-(a_prec - v_p(m!)), so
         # each summed term m >= 1 (m*v < target) is known to a_prec - v_p(m!) + m*v;
         # that is >= 1, as a_prec >= 0 and m*v - v_p(m!) >= m - (m-1)/(p-1) >= 1
-        last = -(-target // v)
-        out_prec = min([target] + [a_prec - factorial_vp(m, p) + m * v for m in range(1, last)])
-    return PadicApprox.from_rational_abs(total, p, out_prec)
+        out_prec = min([target] + [a_prec - factorial_vp(m, p) + m * v for m in range(1, stop)])
+    return PadicApprox._window(p, 0, total, out_prec)
 
 
 def factorial_vp(m: int, p: int) -> int:

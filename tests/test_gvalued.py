@@ -164,6 +164,26 @@ class TestGDistribution:
         with pytest.raises(ValueError):
             CLASSICAL.probability(["a", "a"])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: d.probability({"z"}),
+            lambda d: d.probability(["a", "z"]),
+            lambda d: additivity_check(d, [{"z"}]),
+            lambda d: additivity_check(d, [{"a"}, {"z"}]),
+            lambda d: unit_axiom_check(d, [{"z"}]),
+            lambda d: CriticalRegionTest(d, [({"z"}, SignificanceNeighborhood(d.context, 1))]),
+        ],
+        ids=["probability", "probability-mixed", "additivity", "additivity-mixed", "unit-axiom",
+             "critical-region"],
+    )
+    def test_unknown_outcome_in_event(self, call):
+        # a RangeError, like CriticalRegionTest.run, and no bare KeyError
+        for d in (CLASSICAL, PADIC_D):
+            with pytest.raises(RangeError, match="outside the experiment") as caught:
+                call(d)
+            assert not isinstance(caught.value, KeyError)
+
     def test_range_check(self):
         ok = GDistribution(
             REAL,

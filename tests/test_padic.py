@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from padicprob.errors import DomainError, PrecisionExhausted, RangeError
 from padicprob.padic import (
+    DEFAULT_PRECISION,
     Ball,
     PadicAbs,
     PadicApprox,
@@ -30,6 +31,7 @@ from padicprob.padic import (
     to_digits,
     vp,
 )
+from padicprob.padic import _exp_stop
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 RATIONALS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -294,6 +296,164 @@ class TestPadicApprox:
         a = PadicApprox.from_rational(x, p, 8)
         b = PadicApprox.from_rational(y, p, 8)
         assert (a * b).congruent_to(x * y)
+
+
+# -- the arithmetic against the Fraction route: the exact rational result of
+# the representatives, cut to the precision rule by from_rational_abs
+
+ARITH_PRIMES = st.sampled_from([2, 3, 5, 7, 11])
+
+
+@st.composite
+def _approx(draw, p):
+    shape = draw(st.sampled_from(["digits", "digits", "digits", "exact zero", "inexact zero"]))
+    v = draw(st.integers(-4, 6))
+    if shape == "exact zero":
+        return PadicApprox.zero(p)
+    if shape == "inexact zero":  # O(p**v), also for v < 0
+        return PadicApprox(p, v, ())
+    unit = draw(RATIONALS.filter(lambda u: u and vp(u, p) == 0))
+    return PadicApprox.from_rational(unit * Fraction(p) ** v, p, draw(st.integers(1, 14)))
+
+
+@st.composite
+def _operands(draw):
+    # (p, a, b); b may cancel a's leading digits under + (near = -a) or - (near = a)
+    p = draw(ARITH_PRIMES)
+    a = draw(_approx(p))
+    shape = draw(st.sampled_from(["independent", "near -a", "near a"]))
+    if shape == "independent" or a.exact_zero:
+        return p, a, draw(_approx(p))
+    sign = -1 if shape == "near -a" else 1
+    near = sign * a.rational_rep() + Fraction(p) ** (a.valuation + draw(st.integers(0, 16)))
+    m = draw(st.integers(a.valuation - 2, a.valuation + 16))
+    return p, a, PadicApprox.from_rational_abs(near, p, m)
+
+
+SCALARS = st.fractions(-(10**4), 10**4, max_denominator=10**3)
+
+
+def _scalar(draw, p):
+    return draw(SCALARS) * Fraction(p) ** draw(st.integers(-3, 3))
+
+
+class TestArithmeticMatchesFractionRoute:
+    @settings(max_examples=400)
+    @given(_operands())
+    def test_add(self, ops):
+        p, a, b = ops
+        if a.exact_zero or b.exact_zero:
+            expected = b if a.exact_zero else a
+        else:
+            expected = PadicApprox.from_rational_abs(
+                a.rational_rep() + b.rational_rep(), p, min(a.abs_precision, b.abs_precision))
+        assert a + b == expected
+
+    @settings(max_examples=400)
+    @given(_operands())
+    def test_sub(self, ops):
+        p, a, b = ops
+        if b.exact_zero:
+            expected = a
+        elif a.exact_zero:
+            expected = PadicApprox.from_rational_abs(-b.rational_rep(), p, b.abs_precision)
+        else:
+            expected = PadicApprox.from_rational_abs(
+                a.rational_rep() - b.rational_rep(), p, min(a.abs_precision, b.abs_precision))
+        assert a - b == expected
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_neg(self, data):
+        p = data.draw(ARITH_PRIMES)
+        a = data.draw(_approx(p))
+        expected = a if a.exact_zero else PadicApprox.from_rational_abs(
+            -a.rational_rep(), p, a.abs_precision)
+        assert -a == expected
+        assert -(-a) == a
+
+    @settings(max_examples=400)
+    @given(_operands())
+    def test_mul(self, ops):
+        p, a, b = ops
+        if a.exact_zero or b.exact_zero:
+            expected = PadicApprox.zero(p)
+        else:
+            m = min(a.valuation + b.abs_precision, b.valuation + a.abs_precision)
+            expected = PadicApprox.from_rational_abs(a.rational_rep() * b.rational_rep(), p, m)
+        assert a * b == expected
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_pow(self, data):
+        p = data.draw(ARITH_PRIMES)
+        a = data.draw(_approx(p))
+        n = data.draw(st.integers(0, 6))
+        if n == 0:
+            expected = PadicApprox.from_rational_abs(1, p, DEFAULT_PRECISION)
+        elif a.exact_zero:
+            expected = a
+        else:
+            m = (n - 1) * a.valuation + a.abs_precision
+            expected = PadicApprox.from_rational_abs(a.rational_rep() ** n, p, m)
+        assert a**n == expected
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mul_rational(self, data):
+        p = data.draw(ARITH_PRIMES)
+        a = data.draw(_approx(p))
+        c = _scalar(data.draw, p)
+        if a.exact_zero or c == 0:
+            expected = PadicApprox.zero(p)
+        else:
+            m = a.abs_precision + vp(c, p)
+            expected = PadicApprox.from_rational_abs(a.rational_rep() * c, p, m)
+        assert a.mul_rational(c) == expected
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_div_rational(self, data):
+        p = data.draw(ARITH_PRIMES)
+        a = data.draw(_approx(p))
+        c = _scalar(data.draw, p)
+        if c == 0:
+            with pytest.raises(ZeroDivisionError):
+                a.div_rational(c)
+            return
+        if a.exact_zero:
+            expected = PadicApprox.zero(p)
+        else:
+            m = a.abs_precision - vp(c, p)
+            expected = PadicApprox.from_rational_abs(a.rational_rep() / c, p, m)
+        assert a.div_rational(c) == expected
+
+    @settings(max_examples=400)
+    @given(RATIONALS, PRIMES, st.integers(-12, 16))
+    def test_from_rational_abs_matches_unit_digit_route(self, x, p, m):
+        # the former construction: v_p, then the unit's digits mod p**(m - v_p)
+        if x == 0 or m - vp(x, p) <= 0:
+            expected = (m, (), False)
+        else:
+            v = vp(x, p)
+            unit = x / Fraction(p) ** v
+            mod = p ** (m - v)
+            u = unit.numerator % mod * pow(unit.denominator, -1, mod) % mod
+            expected = (v, to_digits(u, p, m - v), False)
+        a = PadicApprox.from_rational_abs(x, p, m)
+        assert (a.valuation, a.digits, a.exact_zero) == expected
+
+
+class TestExpStop:
+    def test_first_index_past_the_bound(self):
+        # every (p, v) on the exp disc: v >= 1, and v >= 2 at p = 2
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for v in range(2 if p == 2 else 1, 7):
+                m = 2
+                for target in range(1, 201):
+                    while m * v - Fraction(m - 1, p - 1) < target:
+                        m += 1
+                    assert _exp_stop(p, v, target) == m, (p, v, target)
 
 
 class TestSeriesEval:
