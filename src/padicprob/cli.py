@@ -14,6 +14,7 @@ data, 5 any other library error (domain, convergence, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -84,7 +85,7 @@ def _say(msg):
 
 
 def _echo_config(args):
-    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    cfg = {k: v for k, v in vars(args).items() if v is not None}
     _say("config " + json.dumps(cfg, sort_keys=True, default=str))
 
 
@@ -323,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--digits", type=int, default=_default_digits(),
                    help=f"expansion digits (default: $PADICPROB_PRECISION, else {DEFAULT_PRECISION})")
     _add_common(s)
-    s.set_defaults(func=_cmd_valuation)
 
     s = subs.add_parser("freq", help="relative-frequency trace along a selector")
     _add_source_flags(s)
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threshold", type=int, default=8)
     s.add_argument("--topology", choices=("padic", "real"), default="padic")
     _add_common(s)
-    s.set_defaults(func=_cmd_freq)
 
     s = subs.add_parser("thm31", help="ball-probability limit trace toward C(m,r)/2^m")
     s.add_argument("--prime", type=int, required=True)
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threshold", type=int, default=4)
     s.add_argument("--scheme", help="override the default selector m+t*p^k")
     _add_common(s)
-    s.set_defaults(func=_cmd_thm31)
 
     s = subs.add_parser("eq5", help="divisibility of S_n by p balances at 1/2")
     s.add_argument("--prime", type=int, required=True)
@@ -357,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmax", type=int, default=5)
     s.add_argument("--threshold", type=int, default=4)
     _add_common(s)
-    s.set_defaults(func=_cmd_eq5)
 
     s = subs.add_parser("thm32", help="ball limit at the m = p edge")
     s.add_argument("--prime", type=int, required=True)
@@ -367,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmax", type=int, default=6)
     s.add_argument("--threshold", type=int, default=4)
     _add_common(s)
-    s.set_defaults(func=_cmd_thm32)
 
     s = subs.add_parser("lln", help="Mahler-coefficient law of large numbers traces")
     s.add_argument("--prime", type=int, required=True)
@@ -377,14 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmax", type=int, default=8)
     s.add_argument("--threshold", type=int, default=4)
     _add_common(s)
-    s.set_defaults(func=_cmd_lln)
 
     s = subs.add_parser("clt", help="normalized-sum characteristic series coefficients")
     s.add_argument("--a", default="1", help="exponent: natural count or p-adic unit rational")
     s.add_argument("--order", type=int, default=8, help="even truncation order")
     s.add_argument("--prime", type=int, help="needed for non-natural exponents")
     _add_common(s)
-    s.set_defaults(func=_cmd_clt)
 
     s = subs.add_parser("mahler", help="Mahler coefficient tables and the boundedness desk check")
     s.add_argument("--prime", type=int, required=True)
@@ -396,14 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Mahler coefficients of the normalized-sum series; verdict only at a=1")
     s.add_argument("--count", type=int, default=30, help="coefficients checked by --clt-check")
     _add_common(s)
-    s.set_defaults(func=_cmd_mahler)
 
     s = subs.add_parser("integrate", help="Riemann integral of the digit-weight map")
     s.add_argument("--q", type=int, required=True, help="digit alphabet size")
     s.add_argument("--prime", type=int, required=True, help="value prime (must differ from q)")
     s.add_argument("--depth", type=int, default=8)
     _add_common(s)
-    s.set_defaults(func=_cmd_integrate)
 
     s = subs.add_parser("test", help="sphere-membership randomness test at checkpoints")
     _add_source_flags(s, adversarial=True)
@@ -416,18 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmax", type=int, required=True)
     s.add_argument("--mode", choices=("sphere", "residue"), default="sphere")
     _add_common(s)
-    s.set_defaults(func=_cmd_test)
 
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(precision):
+    """The parser for one value of PADICPROB_PRECISION (None: unset), which
+    `--digits` reads for its default when the parser is built. It holds no
+    handlers: `main` looks each one up by name when it runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(os.environ.get("PADICPROB_PRECISION")).parse_args(argv)
     _echo_config(args)
     try:
         with _unlimited_int_text():
-            lines, summary = args.func(args)
+            lines, summary = globals()[f"_cmd_{args.cmd}"](args)
         _emit(lines, args.output)
     except PadicProbError as exc:
         _say(f"error: {exc}")

@@ -220,7 +220,10 @@ class GDistribution:
                 raise RangeError(f"weights at {bad} outside the declared range set")
 
     def weight(self, outcome):
-        return self._w[outcome]
+        try:
+            return self._w[outcome]
+        except KeyError:
+            raise RangeError(f"outcome {outcome!r} outside the experiment") from None
 
     def probability(self, event):
         """Group measure of a subset of the outcomes."""

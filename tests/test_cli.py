@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through main(argv)."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicprob
+from padicprob import cli
 from padicprob.cli import EXIT_CODES, main
 from padicprob.limits import binomial_ball_trace
 from padicprob.padic import DEFAULT_PRECISION, to_approx
@@ -671,6 +673,46 @@ class TestPlumbing:
             main(["entropy"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestParserReuse:
+    THM31 = ["thm31", "--prime", "3", "--m", "2", "--r", "1", "--l", "1"]
+
+    def test_one_parser_per_precision(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADICPROB_PRECISION", "6")
+        cli._parser.cache_clear()
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for _ in range(2):
+            assert run(capsys, ["valuation", "12", "--prime", "3"])[0] == 0
+        assert len(built) == 1
+
+    def test_precision_read_per_invocation(self, capsys, monkeypatch):
+        for digits in (4, 7):
+            monkeypatch.setenv("PADICPROB_PRECISION", str(digits))
+            rc, out, _ = run(capsys, ["valuation", "12", "--prime", "3", "--format", "json"])
+            assert rc == 0
+            assert json.loads(out)["expansion"] == str(to_approx(12, 3, digits))
+
+    def test_refused_calls_leave_no_state(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("PADICPROB_PRECISION", raising=False)
+        cli._parser.cache_clear()
+        fresh = run(capsys, self.THM31)
+        with pytest.raises(SystemExit) as exc:
+            main(["thm31", "--prime", "3", "--m", "two"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        bad_output = self.THM31 + ["--output", str(tmp_path / "absent" / "report.csv")]
+        assert run(capsys, bad_output)[0] == EXIT_CODES["parse"]
+        assert run(capsys, self.THM31) == fresh
+
+    def test_every_subcommand_has_a_handler(self):
+        # main finds a handler by its subcommand's name when it runs
+        (subs,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        handlers = {name[len("_cmd_"):] for name in vars(cli) if name.startswith("_cmd_")}
+        assert set(subs.choices) == handlers
+        assert all(callable(getattr(cli, f"_cmd_{name}")) for name in subs.choices)
 
 
 # -- the exit contract, over generated argument lists ---------------------

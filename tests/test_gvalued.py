@@ -167,6 +167,7 @@ class TestGDistribution:
     @pytest.mark.parametrize(
         "call",
         [
+            lambda d: d.weight("z"),
             lambda d: d.probability({"z"}),
             lambda d: d.probability(["a", "z"]),
             lambda d: additivity_check(d, [{"z"}]),
@@ -174,7 +175,7 @@ class TestGDistribution:
             lambda d: unit_axiom_check(d, [{"z"}]),
             lambda d: CriticalRegionTest(d, [({"z"}, SignificanceNeighborhood(d.context, 1))]),
         ],
-        ids=["probability", "probability-mixed", "additivity", "additivity-mixed", "unit-axiom",
+        ids=["weight", "probability", "probability-mixed", "additivity", "additivity-mixed", "unit-axiom",
              "critical-region"],
     )
     def test_unknown_outcome_in_event(self, call):
