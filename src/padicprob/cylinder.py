@@ -20,12 +20,14 @@ bound delta(n) turning into an explicit error exponent.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import AlphabetMismatch, DigitRange, DomainError, OscillationMissing, RangeError
-from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction, from_digits, to_digits
+from .frequency import MAX_LAW_WIDTH
+from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction, digit_count, from_digits, to_digits
 from .reports import INT, RATIONAL, table_lines
 
 Word = tuple[int, ...]
@@ -40,7 +42,10 @@ def _as_word(w, q: int) -> Word:
         except ValueError:
             raise DigitRange(f"non-digit character in word {w!r}") from None
     else:
-        word = tuple(int(d) for d in w)
+        try:
+            word = tuple(operator.index(d) for d in w)
+        except TypeError:
+            raise DigitRange(f"word {w!r} is not a sequence of integer digits") from None
     for d in word:
         if not 0 <= d < q:
             raise DigitRange(f"digit {d} outside 0..{q - 1}")
@@ -113,39 +118,114 @@ def _canon(node, q):
     return out
 
 
-def _leaves(node, path=()):
+def _leaves(node, path, out):
+    """Append the words of a trie to out in sorted order."""
     if node is _FULL:
-        yield path
-        return
-    for d in sorted(node):
-        yield from _leaves(node[d], path + (d,))
+        out.append(path)
+    else:
+        for d in sorted(node):
+            _leaves(node[d], path + (d,), out)
+    return out
 
 
-def _complement_words(node, q, path=()):
-    if node is _FULL:
-        return
-    for d in range(q):
-        ch = node.get(d)
-        if ch is None:
-            yield path + (d,)
-        else:
-            yield from _complement_words(ch, q, path + (d,))
+# The set operations take canonical tries and return one. They mutate
+# neither operand, so a result may share subtrees with them. A canonical
+# node has no empty child, and its children are never q copies of _FULL.
+# A child of a meet or a difference is _FULL only where the first
+# operand's child is, so only the join can complete a sibling family and
+# check for it.
+
+
+def _join(a, b, q):
+    if a is _FULL or b is _FULL:
+        return _FULL
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for d, cb in b.items():
+        ca = out.get(d)
+        out[d] = cb if ca is None else _join(ca, cb, q)
+    if len(out) == q and all(c is _FULL for c in out.values()):
+        return _FULL
+    return out
+
+
+def _meet(a, b):
+    if a is _FULL:
+        return b
+    if b is _FULL:
+        return a
+    out = {}
+    for d, ca in a.items():
+        cb = b.get(d)
+        if cb is not None:
+            c = _meet(ca, cb)
+            if c:
+                out[d] = c
+    return out
+
+
+def _minus(a, b, q):
+    """a meet the complement of b, which is the complement of b when a is _FULL."""
+    if b is _FULL or not a:
+        return {}
+    if not b:
+        return a
+    out = {}
+    for d in range(q) if a is _FULL else a:
+        ca = a if a is _FULL else a[d]
+        cb = b.get(d)
+        c = ca if cb is None else _minus(ca, cb, q)
+        if c:
+            out[d] = c
+    return out
 
 
 class Clopen:
     """A clopen subset in normal form: a sorted antichain of prefixes
-    with no complete sibling family left unmerged."""
+    with no complete sibling family left unmerged.
 
-    __slots__ = ("q", "words")
+    Each set keeps its canonical trie, and ``|``, ``&``, ``complement``
+    and ``-`` are one walk over the operands' tries, linear in their size.
+
+    Examples:
+        >>> a = Clopen(3, ["0", "1"])
+        >>> a | Clopen(3, ["2"])  # a complete sibling family merges to the whole space
+        Clopen(q=3, '*')
+        >>> a | Clopen(3, ["01", "10"])  # nested words are absorbed
+        Clopen(q=3, '0;1')
+        >>> a & Clopen(3, ["01", "2"])
+        Clopen(q=3, '01')
+        >>> a.complement()
+        Clopen(q=3, '2')
+        >>> a - Clopen(3, ["1"])
+        Clopen(q=3, '0')
+    """
+
+    __slots__ = ("q", "words", "_trie")
 
     def __init__(self, q, words=()):
         q = int(Prime(q))
-        ws = [_as_word(w, q) for w in words]
+        self._fill(q, _trie([_as_word(w, q) for w in words], q))
+
+    def _fill(self, q, trie):
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "words", tuple(_leaves(_trie(ws, q))))
+        object.__setattr__(self, "_trie", trie)
+        object.__setattr__(self, "words", tuple(_leaves(trie, (), [])))
+
+    def _of(self, trie) -> "Clopen":
+        """The clopen over this alphabet with the given canonical trie."""
+        out = object.__new__(Clopen)
+        out._fill(self.q, trie)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Clopen is immutable")
+
+    def __reduce__(self):
+        return (Clopen, (self.q, self.words))
 
     @classmethod
     def empty(cls, q) -> "Clopen":
@@ -175,26 +255,16 @@ class Clopen:
         return other
 
     def __or__(self, other):
-        other = self._check(other)
-        return Clopen(self.q, self.words + other.words)
+        return self._of(_join(self._trie, self._check(other)._trie, self.q))
 
     def __and__(self, other):
-        other = self._check(other)
-        out = []
-        for a in self.words:
-            for b in other.words:
-                if len(a) <= len(b):
-                    if b[: len(a)] == a:
-                        out.append(b)
-                elif a[: len(b)] == b:
-                    out.append(a)
-        return Clopen(self.q, out)
+        return self._of(_meet(self._trie, self._check(other)._trie))
 
     def complement(self) -> "Clopen":
-        return Clopen(self.q, _complement_words(_trie(self.words, self.q), self.q))
+        return self._of(_minus(_FULL, self._trie, self.q))
 
     def __sub__(self, other):
-        return self & self._check(other).complement()
+        return self._of(_minus(self._trie, self._check(other)._trie, self.q))
 
     def contains(self, prefix) -> bool:
         """Membership of any point extending the given prefix; raises if
@@ -407,12 +477,20 @@ def integrate_continuous(
 ) -> IntegrationResult:
     """Riemann sum over all depth-n prefixes, with the guaranteed error
     |integral - sum|_p <= delta(n) * ||whole||_mu baked into the returned
-    approximation's precision."""
+    approximation's precision. A depth with more than MAX_LAW_WIDTH
+    prefixes raises RangeError."""
     if f.oscillation is None:
         raise OscillationMissing("continuous integration needs an oscillation bound")
     if depth < 0:
         raise RangeError("depth must be >= 0")
     q, p = measure.q, measure.prime
+    # q**depth <= MAX_LAW_WIDTH exactly when depth is below the digit count
+    max_depth = digit_count(MAX_LAW_WIDTH, q) - 1
+    if depth > max_depth:
+        raise RangeError(
+            f"depth {depth} sums over more than {MAX_LAW_WIDTH} prefixes; "
+            f"the largest depth for q={q} is {max_depth}"
+        )
     total = Fraction(0)
     for word in itertools.product(range(q), repeat=depth):
         total += as_fraction(f.evaluator(word)) * measure.cylinder_mass(word)

@@ -353,6 +353,19 @@ class TestIntegrate:
         rc, _, _ = run(capsys, ["integrate", "--q", "3", "--prime", "3"])
         assert rc == EXIT_CODES["domain"]
 
+    @pytest.mark.parametrize("q, depth, largest", [("2", "21", 20), ("2", "40", 20), ("5", "9", 8)])
+    def test_depth_beyond_limit(self, capsys, q, depth, largest):
+        # refused before any prefix is summed: depth 40 would be 2**40 prefixes
+        start = time.monotonic()
+        rc, out, err = run(capsys, ["integrate", "--q", q, "--prime", "3", "--depth", depth])
+        assert time.monotonic() - start < 5
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: depth {depth} sums over more than 1048576 prefixes; "
+            f"the largest depth for q={q} is {largest}"
+        ]
+
 
 ADVERSARIAL = [
     "test", "--adversarial", "--prime", "3", "--l", "1", "--r", "0",

@@ -1,5 +1,8 @@
 """Clopen algebra normal form, cylinder measures, and integration."""
 
+import copy
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -79,6 +82,16 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encode_jq((0,), 4)  # alphabet size must be prime
 
+    @pytest.mark.parametrize("word", [(1.5, 2), 5], ids=["fractional-digit", "not-a-sequence"])
+    def test_rejects_non_integer_words(self, word):
+        # int(1.5) would truncate to a valid digit
+        with pytest.raises(DigitRange):
+            Clopen(3, [word])
+        with pytest.raises(DigitRange):
+            encode_jq(word, 3)
+        with pytest.raises(DigitRange):
+            CylinderMeasure(3, 2, 2, {word: Fraction(1)})
+
 
 class TestCylinder:
     def test_basic(self):
@@ -119,6 +132,17 @@ class TestClopenNormalForm:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Clopen.whole(3).words = ()
+
+    @pytest.mark.parametrize("region", [Clopen(3, ["01", "2"]), Clopen.whole(2), Clopen.empty(5)])
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle(self, region, clone):
+        twin = clone(region)
+        assert twin == region
+        assert hash(twin) == hash(region)
+        assert twin._trie == _trie(region.words, region.q)
 
     # canonical uniqueness: the same leaf set assembled from two unrelated
     # word families must normalize identically
@@ -207,6 +231,44 @@ class TestClopenAlgebra:
                 region.contains(prefix)
         else:
             assert region.contains(prefix) is expected
+
+
+def _leaf_sets(a, b):
+    """Both operands and the whole space as sets of words at the operands'
+    common depth: the brute-force route of the set operations."""
+    depth = max(a.max_depth, b.max_depth)
+
+    def expand(c):
+        return {w + tail for w in c.words for tail in itertools.product(range(c.q), repeat=depth - len(w))}
+
+    return expand(a), expand(b), expand(Clopen.whole(a.q))
+
+
+@st.composite
+def wide_clopen_pairs(draw, q):
+    words = draw(st.lists(st.lists(st.integers(0, q - 1), max_size=6).map(tuple), max_size=30))
+    # whole sibling families, whose members the operands then share out, so
+    # that a union has to merge them
+    families = draw(st.lists(st.lists(st.integers(0, q - 1), max_size=5).map(tuple), max_size=2))
+    words += [w + (d,) for w in families for d in range(q)]
+    sides = draw(st.lists(st.sampled_from("ab+"), min_size=len(words), max_size=len(words)))
+    a = Clopen(q, [w for w, side in zip(words, sides) if side != "b"])
+    b = Clopen(q, [w for w, side in zip(words, sides) if side != "a"])
+    return a, b
+
+
+class TestTrieKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    def test_against_leaf_sets(self, q, data):
+        a, b = data.draw(wide_clopen_pairs(q))
+        before = [(c.words, copy.deepcopy(c._trie)) for c in (a, b)]
+        x, y, whole = _leaf_sets(a, b)
+        for result, leaves in ((a | b, x | y), (a & b, x & y), (a.complement(), whole - x), (a - b, x - y)):
+            assert result == Clopen(q, leaves)
+            assert result._trie == _trie(result.words, q)
+        # results may share subtrees with their operands, which stay as they were
+        assert [(c.words, c._trie) for c in (a, b)] == before
 
 
 class TestClopenText:
