@@ -207,6 +207,8 @@ class Clopen:
     __slots__ = ("q", "words", "_trie")
 
     def __init__(self, q, words=()):
+        if isinstance(words, str):
+            raise RangeError(f"words of a clopen are a sequence of words, not the string {words!r}")
         q = int(Prime(q))
         self._fill(q, _trie([_as_word(w, q) for w in words], q))
 

@@ -16,6 +16,7 @@ the null, so observing it rejects the null at that level.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,11 +189,23 @@ class ProductContext(GroupContext):
         return tuple(c.inverse(a) for c, a in zip(self.components, x))
 
 
+def _numerators(xs) -> tuple[list[int], int]:
+    """Integer numerators of Fractions over their least common denominator;
+    xs is read twice, so it is a sequence or a view, not an iterator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def context_from_tag(tag: str) -> GroupContext:
     if tag == "real":
         return RationalRealContext()
-    if tag.startswith("padic:"):
-        return RationalPadicContext(int(tag.split(":", 1)[1]))
+    if isinstance(tag, str) and tag.startswith("padic:"):
+        try:
+            prime = int(tag[len("padic:"):])
+        except ValueError:
+            pass
+        else:
+            return RationalPadicContext(prime)
     raise RangeError(f"unknown context tag {tag!r}")
 
 
@@ -211,9 +224,10 @@ class GDistribution:
         if not items:
             raise RangeError("distribution needs at least one outcome")
         self.outcomes = tuple(om for om, _ in items)
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise RangeError("repeated outcome")
         self._w = {om: context.coerce(w) for om, w in items}
+        if len(self._w) != len(items):
+            raise RangeError("repeated outcome")
+        self._scaled = None  # (numerator per outcome, denominator), made on first use
         if range_check is not None:
             bad = [om for om in self.outcomes if not range_check(self._w[om])]
             if bad:
@@ -226,20 +240,35 @@ class GDistribution:
             raise RangeError(f"outcome {outcome!r} outside the experiment") from None
 
     def probability(self, event):
-        """Group measure of a subset of the outcomes."""
+        """Group measure of a subset of the outcomes; on a rational
+        context, a sum of integer numerators over one denominator."""
         ctx = self.context
+        if isinstance(ctx, _RationalContext):
+            if self._scaled is None:
+                nums, den = _numerators(self._w.values())
+                self._scaled = dict(zip(self._w, nums)), den
+            nums, den = self._scaled
+            return Fraction(sum(self._pick(nums, event)), den)
         total = ctx.neutral
+        for w in self._pick(self._w, event):
+            total = ctx.add(total, w)
+        return total
+
+    @staticmethod
+    def _pick(weights: dict, event) -> list:
+        """weights[om] for each outcome of the event, which may not
+        repeat an outcome or name one outside the experiment."""
         seen = set()
+        out = []
         for om in event:
             if om in seen:
                 raise RangeError(f"repeated outcome {om!r} in event")
             seen.add(om)
             try:
-                w = self._w[om]
+                out.append(weights[om])
             except KeyError:
                 raise RangeError(f"outcome {om!r} outside the experiment") from None
-            total = ctx.add(total, w)
-        return total
+        return out
 
     @property
     def total(self):
@@ -263,12 +292,27 @@ class GDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "GDistribution":
-        data = json.loads(text)
+        """Read the form to_json writes. Each weight is a rational string
+        or an integer, read exactly by the context; a malformed document
+        raises RangeError."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise RangeError(f"distribution JSON does not parse: {exc}") from None
+        if not isinstance(data, dict) or not {"context", "outcomes", "weights"} <= data.keys():
+            raise RangeError("distribution JSON is an object with context, outcomes and weights")
         ctx = context_from_tag(data["context"])
-        outcomes = data["outcomes"]
-        weights = [Fraction(w) for w in data["weights"]]
+        outcomes, weights = data["outcomes"], data["weights"]
+        if not isinstance(outcomes, list) or not isinstance(weights, list):
+            raise RangeError("outcomes and weights are JSON arrays")
         if len(outcomes) != len(weights):
             raise RangeError("outcomes and weights differ in length")
+        for om in outcomes:
+            if isinstance(om, (list, dict)):
+                raise RangeError(f"outcome {om!r} is not a JSON scalar")
+        for w in weights:
+            if isinstance(w, bool) or not isinstance(w, (int, str)):
+                raise RangeError(f"weight {w!r} is neither a rational string nor an integer")
         return cls(ctx, list(zip(outcomes, weights)))
 
     def __repr__(self):
@@ -298,19 +342,36 @@ def additivity_check(d: GDistribution, family) -> AdditivityReport:
     """P(A u B) = P(A) + P(B) over every disjoint pair of the family,
     all sums exact. Pointwise-defined measures pass structurally; the
     check exists to pin the additivity contract down, not to surprise.
-    Each distinct member's measure is summed once."""
+    Each distinct member's measure is summed once.
+
+    Events are compared as bitmasks over the outcomes, and on a rational
+    context measures as integer numerators over one common denominator."""
+    ctx = d.context
     sets = [frozenset(a) for a in family]
     table = {a: d.probability(a) for a in dict.fromkeys(sets)}
+    bit = {om: 1 << i for i, om in enumerate(d.outcomes)}
+    mask = {a: sum(map(bit.__getitem__, a)) for a in table}
+    if isinstance(ctx, _RationalContext):
+        values, _ = _numerators(table.values())
+        add = int.__add__
+    else:
+        values, add = table.values(), ctx.add
+    value = dict(zip(mask.values(), values))
+    member = {m: a for a, m in mask.items()}
+    masks = [mask[a] for a in sets]
     checked = 0
     failures = []
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            if a & b:
+    for i, ma in enumerate(masks):
+        for mb in masks[i:]:
+            if ma & mb:
                 continue
             checked += 1
-            u = a | b
-            lhs = table[u] if u in table else d.probability(u)
-            rhs = d.context.add(table[a], table[b])
+            mu = ma | mb
+            if mu in value and value[mu] == add(value[ma], value[mb]):
+                continue
+            a, b = member[ma], member[mb]
+            lhs = table[member[mu]] if mu in value else d.probability(a | b)
+            rhs = ctx.add(table[a], table[b])
             if lhs != rhs:
                 failures.append((a, b, lhs, rhs))
     return AdditivityReport(not failures, checked, tuple(failures))
@@ -343,12 +404,24 @@ def unit_axiom_check(d: GDistribution, family) -> UnitAxiomReport:
 def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
     """M1 * M2: the law of a sum of independent experiments whose
     outcomes are themselves elements of a ring context. Weight at s is
-    sum over x1 + x2 = s of w1(x1) w2(x2); totals multiply."""
+    sum over x1 + x2 = s of w1(x1) w2(x2); totals multiply.
+
+    On a rational context the sums run on integer numerators: outcomes
+    over their common denominator, each operand's weights over its own.
+
+    Examples:
+        >>> bernoulli = GDistribution(RationalRealContext(), {0: Fraction(1, 3), 1: Fraction(2, 3)})
+        >>> square = convolve(bernoulli, bernoulli)
+        >>> [f"{s}: {square.weight(s)}" for s in square.outcomes]
+        ['0: 1/9', '1: 4/9', '2: 4/9']
+    """
     ctx = m1.context
     if m2.context.tag != ctx.tag:
         raise RangeError(f"mismatched contexts {ctx.tag} vs {m2.context.tag}")
     if not ctx.is_ring:
         raise NoRingStructure(f"convolution needs ring weights; context {ctx.tag}")
+    if isinstance(ctx, _RationalContext):
+        return _convolve_numerators(ctx, m1, m2)
     right = [(ctx.coerce(x2), m2.weight(x2)) for x2 in m2.outcomes]
     acc: dict = {}
     for x1 in m1.outcomes:
@@ -359,6 +432,26 @@ def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
             w = ctx.mul(w1, w2)
             acc[s] = ctx.add(acc[s], w) if s in acc else w
     return GDistribution(ctx, [(s, acc[s]) for s in sorted(acc)])
+
+
+def _convolve_numerators(ctx, m1: GDistribution, m2: GDistribution) -> GDistribution:
+    """convolve on a rational context: outcome k/L gets weight acc/(E1 E2),
+    with k, acc integers and one Fraction built per result number."""
+    n1 = len(m1.outcomes)
+    ks, den = _numerators([ctx.coerce(x) for x in m1.outcomes + m2.outcomes])
+    w1, e1 = _numerators(m1._w.values())  # in the order of the outcomes
+    w2, e2 = _numerators(m2._w.values())
+    right = list(zip(ks[n1:], w2))
+    acc: dict = {}
+    for k1, v1 in zip(ks[:n1], w1):
+        for k2, v2 in right:
+            k = k1 + k2
+            if k in acc:
+                acc[k] += v1 * v2
+            else:
+                acc[k] = v1 * v2
+    e = e1 * e2
+    return GDistribution(ctx, [(Fraction(k, den), Fraction(acc[k], e)) for k in sorted(acc)])
 
 
 def dirac(context: GroupContext, point) -> GDistribution:

@@ -33,6 +33,7 @@ from padicprob.errors import (
     DigitRange,
     DomainError,
     OscillationMissing,
+    RangeError,
 )
 from padicprob.padic import PadicAbs, PadicApprox, abs_p
 
@@ -91,6 +92,19 @@ class TestEncoding:
             encode_jq(word, 3)
         with pytest.raises(DigitRange):
             CylinderMeasure(3, 2, 2, {word: Fraction(1)})
+
+    @pytest.mark.parametrize("words", ["01", "", "*"])
+    def test_rejects_bare_string(self, words):
+        # a str would be read as a list of one-digit words: "01" as the cylinders 0 and 1
+        with pytest.raises(RangeError, match="sequence of words"):
+            Clopen(3, words)
+        with pytest.raises(RangeError, match="sequence of words"):
+            StepFunction(3, [(words, 1)])
+
+    def test_word_list_of_one_string(self):
+        # the accepted spellings of the cylinder 01, matching Cylinder(3, "01")
+        assert Clopen(3, ["01"]).words == Clopen(3, [(0, 1)]).words == (Cylinder(3, "01").word,)
+        assert StepFunction(3, [(["01"], 1)]).value_at((0, 1, 2)) == 1
 
 
 class TestCylinder:

@@ -140,6 +140,11 @@ class TestContexts:
         with pytest.raises(ValueError):
             context_from_tag("complex")
 
+    @pytest.mark.parametrize("tag", ["padic:abc", "padic:", "padic:3.0", 3, None])
+    def test_from_malformed_tag(self, tag):
+        with pytest.raises(RangeError, match="unknown context tag"):
+            context_from_tag(tag)
+
 
 CLASSICAL = GDistribution(
     REAL, {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(1, 6)}
@@ -208,6 +213,41 @@ class TestGDistribution:
         p = GDistribution(PADIC3, [("x", Fraction(2)), ("y", Fraction(-1))])
         assert same_distribution(p, GDistribution.from_json(p.to_json()))
         assert GDistribution.from_json(p.to_json()).context.prime == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"context": "real", "outcomes": ["a"], "weights": [0.1]}',
+            '{"context": "real", "outcomes": ["a"], "weights": [true]}',
+            '{"context": "real", "outcomes": ["a"], "weights": [null]}',
+            '{"context": "real", "outcomes": ["a"], "weights": ["1/0"]}',
+            '{"context": "real", "outcomes": ["a"], "weights": ["1e400"]}',
+            '{"context": "real", "outcomes": ["a"], "weights": ["x"]}',
+            '{"context": "real", "outcomes": ["a"]}',
+            '{"context": "real", "weights": ["1"]}',
+            '{"outcomes": ["a"], "weights": ["1"]}',
+            '{"context": "padic:abc", "outcomes": ["a"], "weights": ["1"]}',
+            '{"context": ["real"], "outcomes": ["a"], "weights": ["1"]}',
+            '{"context": "real", "outcomes": "a", "weights": ["1"]}',
+            '{"context": "real", "outcomes": ["a", "b"], "weights": ["1"]}',
+            '{"context": "real", "outcomes": [["a"]], "weights": ["1"]}',
+            '{"context": "real", "outcomes": ["a", "a"], "weights": ["1", "1"]}',
+            '{"context": "real", "outcomes": [], "weights": []}',
+            '["real", ["a"], ["1"]]',
+            '"real"',
+            "3",
+            "{",
+            "",
+        ],
+    )
+    def test_json_malformed(self, text):
+        with pytest.raises(RangeError):
+            GDistribution.from_json(text)
+
+    def test_json_exact_weights(self):
+        d = GDistribution.from_json('{"context": "padic:3", "outcomes": [0, 1], "weights": ["-1/10", 2]}')
+        assert [d.weight(0), d.weight(1)] == [Fraction(-1, 10), Fraction(2)]
+        assert all(type(d.weight(om)) is Fraction for om in d.outcomes)
 
     def test_json_excludes_products(self):
         prod = ProductContext(REAL, PADIC3)
@@ -361,6 +401,77 @@ class TestAxiomChecksAgainstPairs:
         assert [(set(a), set(b), lhs, rhs) for a, b, lhs, rhs in report.failures] == [
             (set(), {"x"}, 2, 4), (set(), {"y"}, 4, 8), (set(), {"x", "y"}, 6, 12), ({"x"}, {"y"}, 6, 10),
         ]
+
+
+class FractionRing(GroupContext):
+    """Q as a ring on plain Fraction operations. It subclasses GroupContext
+    directly, so convolve and probability take their generic route: the
+    oracle for the integer-numerator route of the rational contexts."""
+
+    is_ring = True
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def coerce(self, x):
+        return as_fraction(x)
+
+    def add(self, x, y):
+        return x + y
+
+    def negate(self, x):
+        return -x
+
+    @property
+    def neutral(self):
+        return Fraction(0)
+
+    def rho(self, x) -> Fraction:
+        return abs(x)
+
+    def mul(self, x, y):
+        return x * y
+
+    @property
+    def one(self):
+        return Fraction(1)
+
+
+OUTCOME = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+# few small weights, so that sums at one outcome often cancel to 0
+WEIGHT = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def laws(draw):
+    """A recipe for an operand: a Dirac point, or outcomes with weights."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(OUTCOME)
+    outcomes = draw(st.lists(OUTCOME, min_size=1, max_size=6, unique=True))
+    return [(om, draw(WEIGHT)) for om in outcomes]
+
+
+def build_law(ctx, recipe):
+    return GDistribution(ctx, recipe) if isinstance(recipe, list) else dirac(ctx, recipe)
+
+
+class TestConvolveIntegerRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["real", 2, 3, 5]), st.lists(laws(), min_size=2, max_size=4))
+    def test_same_law_as_generic_route(self, which, recipes):
+        ctx = REAL if which == "real" else RationalPadicContext(which)
+        oracle = FractionRing(ctx.tag)
+        got, want = build_law(ctx, recipes[0]), build_law(oracle, recipes[0])
+        for recipe in recipes[1:]:
+            got = convolve(got, build_law(ctx, recipe))
+            want = convolve(want, build_law(oracle, recipe))
+        assert got.outcomes == want.outcomes  # the same outcomes in the same order
+        weights = [got.weight(s) for s in got.outcomes]
+        assert weights == [want.weight(s) for s in want.outcomes]
+        assert all(type(x) is Fraction for x in got.outcomes + tuple(weights))
+        for event in (got.outcomes, got.outcomes[::2], got.outcomes[1::3], ()):
+            assert got.probability(event) == want.probability(event)
+            assert type(got.probability(event)) is Fraction
 
 
 class TestConvolve:
