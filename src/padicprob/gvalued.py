@@ -310,9 +310,6 @@ class GDistribution:
         for om in outcomes:
             if isinstance(om, (list, dict)):
                 raise RangeError(f"outcome {om!r} is not a JSON scalar")
-        for w in weights:
-            if isinstance(w, bool) or not isinstance(w, (int, str)):
-                raise RangeError(f"weight {w!r} is neither a rational string nor an integer")
         return cls(ctx, list(zip(outcomes, weights)))
 
     def __repr__(self):

@@ -90,14 +90,14 @@ class Prime(int):
 def as_fraction(x) -> Fraction:
     """Coerce an int, Fraction or 'num/den' string to an exact Fraction.
 
-    Floats are rejected: they carry binary rounding error and this
-    library promises exact arithmetic. A string Fraction cannot read, or
-    one in exponent notation (which Fraction expands however large),
-    raises RangeError.
+    Anything else raises RangeError. Floats carry binary rounding error
+    and this library promises exact arithmetic; a bool is a flag, not a
+    number. A string Fraction cannot read, or one in exponent notation
+    (which Fraction expands however large), also raises RangeError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         if re.search(r"[\d.][eE]", x):  # 1e5, 1.E5, .5e-3
@@ -106,7 +106,7 @@ def as_fraction(x) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise RangeError(str(exc)) from None
-    raise TypeError(f"expected int, Fraction or rational string, got {type(x).__name__}")
+    raise RangeError(f"expected int, Fraction or rational string, got {type(x).__name__}")
 
 
 def _int_vp(n: int, p: int) -> int:

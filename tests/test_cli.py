@@ -353,6 +353,17 @@ class TestIntegrate:
         rc, _, _ = run(capsys, ["integrate", "--q", "3", "--prime", "3"])
         assert rc == EXIT_CODES["domain"]
 
+    @pytest.mark.parametrize("q, prime, depth", [(2, 3, 20), (3, 2, 12)])
+    def test_depth_at_limit(self, capsys, q, prime, depth):
+        # the largest accepted depth: the digit weights sum by one-digit marginals, not q**depth prefixes
+        start = time.monotonic()
+        rc, out, _ = run(capsys, ["integrate", "--q", str(q), "--prime", str(prime), "--depth", str(depth)])
+        assert time.monotonic() - start < 5
+        assert rc == 0
+        value = Fraction(q - 1, 2) * Fraction(prime**depth - 1, prime - 1)
+        assert value.denominator == 1
+        assert out.splitlines() == ["depth,value_num,value_den,error_exponent", f"{depth},{value},1,{depth}"]
+
     @pytest.mark.parametrize("q, depth, largest", [("2", "21", 20), ("2", "40", 20), ("5", "9", 8)])
     def test_depth_beyond_limit(self, capsys, q, depth, largest):
         # refused before any prefix is summed: depth 40 would be 2**40 prefixes

@@ -57,6 +57,36 @@ def _uniform_norm(clopen, p):
 #: (q, p) pairs with p != q
 ALPHABET_PRIMES = st.sampled_from([(2, 3), (3, 2), (2, 5), (5, 3), (3, 7)])
 
+SIGNED_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def marginal_cases(draw):
+    """A measure, a digit-additive map and a depth the prefix walk reaches."""
+    q, p = draw(ALPHABET_PRIMES)
+    kind = draw(st.sampled_from(["sparse", "full", "uniform", "zero"]))
+    if kind == "uniform":
+        measure = UniformMeasure(q, p)
+    elif kind == "zero":
+        measure = zero_measure(q, p)
+    else:
+        t = draw(st.integers(0, 3))
+        words = list(itertools.product(range(q), repeat=t))
+        if kind == "sparse":
+            words = draw(st.lists(st.sampled_from(words), unique=True, max_size=len(words)))
+        measure = CylinderMeasure(q, p, t, {w: draw(SIGNED_RATIONALS) for w in words})
+    depth = draw(st.integers(0, 6 if q < 5 else 4))
+    if draw(st.booleans()):
+        f = digit_weight_map(q, p)
+    else:
+        c = [[draw(SIGNED_RATIONALS) for _ in range(q)] for _ in range(depth)]
+        f = ContinuousMap(
+            lambda w: sum((c[j][d] for j, d in enumerate(w)), Fraction(0)),
+            oscillation=lambda n: n,
+            digit_term=lambda j, d: c[j][d],
+        )
+    return measure, f, depth
+
 
 class TestEncoding:
     def test_spot_values(self):
@@ -495,7 +525,21 @@ class TestContinuousIntegration:
     @given(st.sampled_from([2, 3, 5]), st.sampled_from([2, 3, 7]), st.lists(st.integers(0, 4), max_size=12))
     def test_evaluator_against_per_digit_sum(self, q, p, digits):
         word = tuple(d % q for d in digits)
-        assert digit_weight_map(q, p).evaluator(word) == _per_digit_weight(word, p)
+        f = digit_weight_map(q, p)
+        assert f.evaluator(word) == _per_digit_weight(word, p)
+        assert f.evaluator(word) == sum((f.digit_term(j, d) for j, d in enumerate(word)), Fraction(0))
+
+    # the prefix walk, which a map without a per-digit form takes, is the oracle
+    @settings(max_examples=150, deadline=None)
+    @given(marginal_cases())
+    def test_marginal_route_against_prefix_walk(self, case):
+        measure, f, depth = case
+        walked = ContinuousMap(f.evaluator, f.oscillation, f.name)
+        fast = integrate_continuous(measure, f, depth)
+        slow = integrate_continuous(measure, walked, depth)
+        assert fast.riemann_sum == slow.riemann_sum
+        assert fast.error_exponent == slow.error_exponent
+        assert fast.value == slow.value
 
     # the reference route: j_q order, one Fraction per digit
     @settings(max_examples=30, deadline=None)

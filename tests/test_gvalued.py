@@ -190,6 +190,11 @@ class TestGDistribution:
                 call(d)
             assert not isinstance(caught.value, KeyError)
 
+    @pytest.mark.parametrize("weights", [{"a": 0.1}, {"a": True, "b": False}, {"a": None}])
+    def test_weight_types_refused(self, weights):
+        with pytest.raises(RangeError):
+            GDistribution(REAL, weights)
+
     def test_range_check(self):
         ok = GDistribution(
             REAL,
@@ -593,6 +598,11 @@ class TestSignificance:
     def test_radius_positive(self):
         with pytest.raises(ValueError):
             SignificanceNeighborhood(REAL, 0)
+
+    @pytest.mark.parametrize("eps", [0.5, True])
+    def test_radius_type_refused(self, eps):
+        with pytest.raises(RangeError):
+            SignificanceNeighborhood(REAL, eps)
 
 
 class TestCriticalRegionTest:

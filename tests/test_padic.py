@@ -68,8 +68,13 @@ class TestValuation:
         assert vp(Fraction(-27, 7), 3) == 3
 
     def test_as_fraction_rejects_floats(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(RangeError):
             as_fraction(0.5)
+
+    @pytest.mark.parametrize("x", [True, False, None, [1], (1, 2), 1j])
+    def test_as_fraction_rejects_other_types(self, x):
+        with pytest.raises(RangeError, match="expected int, Fraction or rational string"):
+            as_fraction(x)
 
     def test_as_fraction_parses_strings(self):
         assert as_fraction("5/16") == Fraction(5, 16)
