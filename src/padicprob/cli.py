@@ -130,7 +130,7 @@ def _cmd_valuation(args):
     x = as_fraction(args.value)
     v = vp(x, p)
     a = abs_p(x, p).as_fraction()
-    expansion = str(to_approx(x, p, args.digits))  # checks --digits in both formats
+    approx = to_approx(x, p, args.digits)  # checks --digits in both formats
     if args.format == "csv":
         lines = [
             "value,prime,valuation,abs",
@@ -144,7 +144,7 @@ def _cmd_valuation(args):
                     "prime": int(p),
                     "valuation": json_exponent(v),
                     "abs": format_rational(a),
-                    "expansion": expansion,
+                    "expansion": str(approx),  # CSV never prints the digits
                 },
                 sort_keys=True,
             )

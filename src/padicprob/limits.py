@@ -147,6 +147,11 @@ class SumDistribution:
         return [Fraction(w, den) for w in _residue_law(a, b, self.n, self.n + 1)]
 
 
+#: bits a residue law may hold, 2**33 (1 GiB): `mod` entries of up to
+#: n * bit_length(|a| + |b - a|) bits each
+MAX_LAW_BITS = 2**33
+
+
 def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
     """Numerators N_r with P(S_n = r mod `mod`) = N_r / b**n, q = a/b.
 
@@ -157,11 +162,18 @@ def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
     multiplication and one exact small division, folded mod `mod`. The
     route depends only on n and mod; both give the same integers. The
     list has `mod` entries, so callers keep mod <= n + 1 where it may be
-    larger; a law wider than MAX_LAW_WIDTH raises RangeError.
+    larger; a law wider than MAX_LAW_WIDTH, or one that may hold more
+    than MAX_LAW_BITS bits, raises RangeError.
     """
     if mod > MAX_LAW_WIDTH:
         raise RangeError(f"residue law mod {mod} is wider than the limit of {MAX_LAW_WIDTH} entries")
     c = b - a
+    bits = mod * n * (abs(a) + abs(c)).bit_length()
+    if bits > MAX_LAW_BITS:
+        raise RangeError(
+            f"residue law mod {mod} over n={n} trials may hold {bits} bits, "
+            f"more than the limit of {MAX_LAW_BITS}"
+        )
     if mod**3 <= n:
         law = [1] + [0] * (mod - 1)
         for bit in bin(n)[2:]:

@@ -109,6 +109,13 @@ def as_fraction(x) -> Fraction:
     raise RangeError(f"expected int, Fraction or rational string, got {type(x).__name__}")
 
 
+def _as_int(x, what: str) -> int:
+    # like as_fraction, refuse what int() would truncate or parse
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    raise RangeError(f"{what} must be an int, got {type(x).__name__}")
+
+
 def _int_vp(n: int, p: int) -> int:
     # n != 0
     v = 0
@@ -329,15 +336,19 @@ def from_digits(digits, base: int) -> int:
 
 
 class PadicApprox:
-    """A p-adic number known modulo p**(valuation + len(digits)).
+    """A p-adic number known modulo p**(valuation + precision).
 
     Fields:
         prime: the p.
         valuation: v_p of the leading digit; for an inexact zero (all
             digits cancelled) it is the known absolute precision, i.e.
             the value is O(p**valuation) and v_p >= valuation.
-        digits: base-p digits (d0, d1, ...), d0 != 0 unless empty.
+        unit: the value over p**valuation modulo p**precision, an int
+            prime to p; 0 for both zeros.
+        precision: the count of known significant digits; 0 for zeros.
         exact_zero: True only for the exact zero of Q_p.
+        digits (derived): the unit's `precision` base-p digits (d0, d1,
+            ...), d0 != 0 unless empty.
 
     Arithmetic tracks worst-case precision: absolute precision of a sum
     is the min of the operands', of a product min(v1+M2, v2+M1). The
@@ -350,20 +361,24 @@ class PadicApprox:
         PadicApprox(3^1 * (2,1) base 3 prec 2)
     """
 
-    __slots__ = ("prime", "valuation", "digits", "exact_zero")
+    __slots__ = ("prime", "valuation", "unit", "precision", "exact_zero")
 
     def __init__(self, prime, valuation: int, digits: tuple[int, ...], exact_zero: bool = False):
-        self.prime = Prime(prime)
-        self.valuation = int(valuation)
-        self.digits = tuple(map(int, digits))
-        self.exact_zero = bool(exact_zero)
-        if self.exact_zero and (self.digits or self.valuation != 0):
+        p = Prime(prime)
+        valuation = _as_int(valuation, "valuation")
+        digits = tuple(_as_int(d, "digit") for d in digits)
+        if exact_zero and (digits or valuation != 0):
             raise RangeError("exact zero carries no digits and valuation 0")
-        if self.digits:
-            if self.digits[0] == 0:
+        if digits:
+            if digits[0] == 0:
                 raise RangeError("leading digit must be nonzero")
-            if min(self.digits) < 0 or max(self.digits) >= self.prime:
+            if min(digits) < 0 or max(digits) >= p:
                 raise RangeError("digit outside 0..p-1")
+        self._set(p, valuation, from_digits(digits, p), len(digits), bool(exact_zero))
+
+    def _set(self, p, v: int, u: int, n: int, exact_zero: bool = False) -> "PadicApprox":
+        self.prime, self.valuation, self.unit, self.precision, self.exact_zero = p, v, u, n, exact_zero
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -375,7 +390,7 @@ class PadicApprox:
     def from_rational(cls, x, p, digits: int = DEFAULT_PRECISION) -> "PadicApprox":
         """Approximate a rational with the given count of significant digits."""
         x = as_fraction(x)
-        if digits < 1:
+        if _as_int(digits, "digit count") < 1:
             raise RangeError("need at least one digit")
         if x == 0:
             return cls.zero(p)
@@ -391,15 +406,13 @@ class PadicApprox:
         """
         p = Prime(p)
         x = as_fraction(x)
-        # x = p**-e * num / den with den prime to p, and the unit digits need
-        # num / den mod p**(abs_precision + e)
+        abs_precision = _as_int(abs_precision, "absolute precision")
+        # x = p**-e * num / den with den prime to p, and the unit needs
+        # num / den mod p**(abs_precision + e); nothing survives if that is <= 0
         e = _int_vp(x.denominator, p)
         n = abs_precision + e
-        if n <= 0:
-            # nothing survives at this precision: O(p**abs_precision)
-            return cls(p, abs_precision, ())
-        den = x.denominator // p**e
-        return cls._window(p, -e, x.numerator * pow(den, -1, p**n), abs_precision)
+        u = x.numerator * pow(x.denominator // p**e, -1, p**n) if n > 0 else 0
+        return cls._window(p, -e, u, abs_precision)
 
     @classmethod
     def _window(cls, p, v: int, u: int, m: int) -> "PadicApprox":
@@ -408,40 +421,35 @@ class PadicApprox:
         n = m - v
         u = u % p**n if n > 0 else 0
         if not u:
-            return cls(p, m, ())
+            return cls.__new__(cls)._set(p, m, 0, 0)
         k = _int_vp(u, p)
-        return cls(p, v + k, to_digits(u // p**k, p, n - k))
+        return cls.__new__(cls)._set(p, v + k, u // p**k, n - k)
 
     # -- bookkeeping ----------------------------------------------------
 
     @property
-    def precision(self) -> int:
-        return len(self.digits)
+    def digits(self) -> tuple[int, ...]:
+        return to_digits(self.unit, self.prime, self.precision)
 
     @property
     def abs_precision(self) -> int | float:
         """Exponent M such that the value is known modulo p**M."""
         if self.exact_zero:
             return math.inf
-        return self.valuation + len(self.digits)
+        return self.valuation + self.precision
 
     @property
     def is_zero_to_precision(self) -> bool:
-        return self.exact_zero or not self.digits
-
-    def unit_int(self) -> int:
-        return from_digits(self.digits, self.prime)
+        return not self.unit
 
     def rational_rep(self) -> Fraction:
         """The canonical rational representative of the known window."""
-        if self.is_zero_to_precision:
-            return Fraction(0)
-        return Fraction(self.prime) ** self.valuation * self.unit_int()
+        return Fraction(self.prime) ** self.valuation * self.unit
 
     def abs_p(self) -> PadicAbs:
         if self.exact_zero:
             return PadicAbs.zero(self.prime)
-        if not self.digits:
+        if not self.unit:
             raise PrecisionExhausted(
                 f"value is O({self.prime}^{self.valuation}); absolute value undetermined"
             )
@@ -456,11 +464,7 @@ class PadicApprox:
 
     def agrees_with(self, other: "PadicApprox") -> bool:
         """Congruence modulo the smaller of the two absolute precisions."""
-        self._coerce(other)
-        m = min(self.abs_precision, other.abs_precision)
-        if m == math.inf:
-            return True
-        return vp(self.rational_rep() - other.rational_rep(), self.prime) >= m
+        return (self - other).is_zero_to_precision
 
     # -- arithmetic -----------------------------------------------------
 
@@ -474,7 +478,7 @@ class PadicApprox:
     def __neg__(self):
         if self.exact_zero:
             return self
-        return PadicApprox._window(self.prime, self.valuation, -self.unit_int(), self.abs_precision)
+        return PadicApprox._window(self.prime, self.valuation, -self.unit, self.abs_precision)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -483,8 +487,7 @@ class PadicApprox:
         if other.exact_zero:
             return self
         p, v = self.prime, min(self.valuation, other.valuation)
-        u = self.unit_int() * p ** (self.valuation - v)
-        u += other.unit_int() * p ** (other.valuation - v)
+        u = self.unit * p ** (self.valuation - v) + other.unit * p ** (other.valuation - v)
         return PadicApprox._window(p, v, u, min(self.abs_precision, other.abs_precision))
 
     def __sub__(self, other):
@@ -496,7 +499,7 @@ class PadicApprox:
             return PadicApprox.zero(self.prime)
         m = min(self.valuation + other.abs_precision, other.valuation + self.abs_precision)
         return PadicApprox._window(
-            self.prime, self.valuation + other.valuation, self.unit_int() * other.unit_int(), m
+            self.prime, self.valuation + other.valuation, self.unit * other.unit, m
         )
 
     def mul_rational(self, c) -> "PadicApprox":
@@ -505,11 +508,11 @@ class PadicApprox:
         if self.exact_zero or c == 0:
             return PadicApprox.zero(self.prime)
         p = self.prime
-        # c = p**-e * num / den with den prime to p; the unit digits need den's
+        # c = p**-e * num / den with den prime to p; the unit needs den's
         # inverse only modulo p**precision (pow(den, -1, 1) is 0: no digits)
         e = _int_vp(c.denominator, p)
         den = c.denominator // p**e
-        u = self.unit_int() * c.numerator * pow(den, -1, p ** len(self.digits))
+        u = self.unit * c.numerator * pow(den, -1, p**self.precision)
         return PadicApprox._window(p, self.valuation - e, u, self.abs_precision + vp(c, p))
 
     def div_rational(self, c) -> "PadicApprox":
@@ -529,7 +532,7 @@ class PadicApprox:
         # the product rule min(v1+M2, v2+M1), applied n - 1 times; the unit
         # is needed modulo p**(m - n*v) = p**precision
         m = (n - 1) * self.valuation + self.abs_precision
-        u = pow(self.unit_int(), n, p ** len(self.digits))
+        u = pow(self.unit, n, p**self.precision)
         return PadicApprox._window(p, n * self.valuation, u, m)
 
     # -- display ----------------------------------------------------------
@@ -540,23 +543,21 @@ class PadicApprox:
     def __str__(self):
         if self.exact_zero:
             return f"0 base {self.prime} (exact)"
-        if not self.digits:
+        if not self.unit:
             return f"O({self.prime}^{self.valuation}) base {self.prime}"
         ds = ",".join(str(d) for d in self.digits)
-        return f"{self.prime}^{self.valuation} * ({ds}) base {self.prime} prec {len(self.digits)}"
+        return f"{self.prime}^{self.valuation} * ({ds}) base {self.prime} prec {self.precision}"
+
+    def _key(self) -> tuple:
+        return (self.prime, self.valuation, self.unit, self.precision, self.exact_zero)
 
     def __eq__(self, other):
         if not isinstance(other, PadicApprox):
             return NotImplemented
-        return (
-            self.prime == other.prime
-            and self.valuation == other.valuation
-            and self.digits == other.digits
-            and self.exact_zero == other.exact_zero
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.prime, self.valuation, self.digits, self.exact_zero))
+        return hash(self._key())
 
 
 def to_approx(x, p, digits: int = DEFAULT_PRECISION) -> PadicApprox:
@@ -622,7 +623,7 @@ def _binomial_exponent(a, p) -> tuple[int, int, int | float]:
             raise RangeError("mismatched primes between x and a")
         if a.valuation < 0:  # exact zero: valuation 0, unit 0, precision inf
             raise DomainError("binomial exponent must be a p-adic integer")
-        return p**a.valuation * a.unit_int(), 1, a.abs_precision
+        return p**a.valuation * a.unit, 1, a.abs_precision
     a = as_fraction(a)
     if vp(a, p) < 0:
         raise DomainError("binomial exponent must be a p-adic integer")
@@ -678,12 +679,12 @@ def series_eval(kind: str, x: PadicApprox, a=None) -> PadicApprox:
         return PadicApprox._window(p, 0, 1, DEFAULT_PRECISION)
     # v_p(x) >= 1 suffices, except that exp, cosh and sinh at p = 2 need v_2(x) >= 2
     need = 2 if p == 2 and kind in _EXP_KINDS else 1
-    if x.valuation < need or not x.digits:
+    if x.valuation < need or not x.unit:
         raise DomainError(f"{kind} converges only for v_{p}(x) >= {need}; argument has {x!s}")
     v, target = x.valuation, x.abs_precision
-    rep = p**v * x.unit_int()
+    rep = p**v * x.unit
     # Terms m < stop are summed: from m = stop on, a lower bound on v_p(term m)
-    # reaches the target. target = v + len(digits) exceeds v >= 1 and each
+    # reaches the target. target = v + precision exceeds v >= 1 and each
     # bound is at most v at m = 0 and m = 1, so stop >= 2. Every summed term
     # is p-integral, so its residue modulo p**target is all the sum needs.
     first, step = 0, 1  # the summed terms are m = first, first + step, ... below stop

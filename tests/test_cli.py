@@ -59,6 +59,14 @@ class TestValuation:
         assert payload["abs"] == "1/3"
         assert payload["expansion"] == str(to_approx(12, 3, 5))
 
+    def test_csv_skips_the_expansion(self, capsys):
+        # CSV prints no digits, so a million of them must not be rendered
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, ["valuation", "1/2", "--prime", "3", "--digits", "1000000", "--format", "csv"])
+        assert time.perf_counter() - start < 10
+        assert rc == 0
+        assert out.splitlines() == ["value,prime,valuation,abs", "1/2,3,0,1"]
+
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PADICPROB_PRECISION", "4")
         rc, out, _ = run(capsys, ["valuation", "12", "--prime", "3", "--format", "json"])
@@ -210,6 +218,16 @@ class TestTraceCommands:
         assert rc == EXIT_CODES["parse"] == 2
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {error}"]
+
+    def test_residue_law_too_many_bits(self, capsys):
+        # the law mod p has p entries of up to N_1 = p + 1 bits: about 2 * 10**12 bits in all
+        rc, out, err = run(capsys, ["eq5", "--prime", "1000003", "--kmax", "1"])
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: residue law mod 1000003 over n=1000004 trials may hold 2000014000024 bits, "
+            "more than the limit of 8589934592"
+        ]
 
     def test_lln(self, capsys):
         rc, out, err = run(

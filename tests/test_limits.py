@@ -28,6 +28,7 @@ from padicprob.frequency import (
 )
 from padicprob.limits import (
     BOUND_CHECK_NOTE,
+    MAX_LAW_BITS,
     VERDICT_CONVERGING,
     VERDICT_INCONCLUSIVE,
     BernoulliParams,
@@ -211,6 +212,16 @@ class TestResidueLaw:
     )
     def test_both_routes_match_binomials(self, a, b, n, mod):
         assert _residue_law(a, b, n, mod) == _direct_law(a, b, n, mod)
+
+    def test_bit_budget(self):
+        # mod * n * bit_length(|a| + |b - a|) may reach MAX_LAW_BITS but not pass
+        # it; a = 0, b = 1 is a point mass of 1, cheap at any n
+        assert MAX_LAW_BITS == 2**33
+        assert _residue_law(0, 1, MAX_LAW_BITS // 2, 2) == [1, 0]
+        with pytest.raises(RangeError, match="more than the limit of 8589934592"):
+            _residue_law(0, 1, MAX_LAW_BITS // 2 + 1, 2)
+        with pytest.raises(RangeError, match=r"mod 1 over n=4294967297 trials may hold 8589934594 bits"):
+            _residue_law(1, 2, 2**32 + 1, 1)
 
 
 class TestBallProbability:

@@ -449,6 +449,71 @@ class TestArithmeticMatchesFractionRoute:
         assert (a.valuation, a.digits, a.exact_zero) == expected
 
 
+@st.composite
+def _digit_form(draw, primes=st.sampled_from([2, 3, 5, 7])):
+    # (p, v, digits) for the public constructor: a nonzero leading digit, or none
+    p = draw(primes)
+    digits = draw(st.lists(st.integers(0, p - 1), max_size=12))
+    if digits:
+        digits[0] = draw(st.integers(1, p - 1))
+    return p, draw(st.integers(-6, 6)), tuple(digits)
+
+
+class TestUnitForm:
+    @given(_digit_form())
+    def test_digits_are_a_view_of_the_unit(self, form):
+        p, v, digits = form
+        x = PadicApprox(p, v, digits)
+        assert x.digits == digits
+        assert x.unit == from_digits(digits, p)
+        assert x.precision == len(digits)
+        assert x.unit % p != 0 if digits else x.unit == 0
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_results_are_in_normal_form(self, data):
+        p, v, digits = data.draw(_digit_form())
+        a = PadicApprox(p, v, digits)
+        if data.draw(st.booleans()):
+            b = PadicApprox(*data.draw(_digit_form(st.just(p))))
+        else:
+            b = PadicApprox.zero(p)
+        results = [a + b, b + a, a - b, b - a, a * b, a ** data.draw(st.integers(0, 5)),
+                   a.mul_rational(_scalar(data.draw, p))]
+        for r in results:
+            again = PadicApprox(p, r.valuation, r.digits, r.exact_zero)
+            assert r == again and hash(r) == hash(again)
+            assert 0 <= r.unit < p**r.precision
+            assert r.unit % p != 0 if r.precision else r.unit == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PadicApprox(3, 0, (1.9, 2)),
+            lambda: PadicApprox(3, 0, ("1",)),
+            lambda: PadicApprox(3, 0, (True, 1)),
+            lambda: PadicApprox(3, 0.5, (1,)),
+            lambda: PadicApprox(3, "0", (1,)),
+            lambda: PadicApprox(3, False, (1,)),
+            lambda: to_approx(Fraction(1, 2), 3, 2.5),
+            lambda: to_approx(Fraction(1, 2), 3, "4"),
+            lambda: to_approx(Fraction(1, 2), 3, True),
+            lambda: PadicApprox.from_rational(0, 3, 2.0),
+            lambda: PadicApprox.from_rational_abs(Fraction(1, 2), 3, 2.5),
+            lambda: PadicApprox.from_rational_abs(Fraction(1, 2), 3, "2"),
+            lambda: PadicApprox.from_rational_abs(Fraction(1, 2), 3, True),
+        ],
+        ids=[
+            "float-digit", "str-digit", "bool-digit", "float-valuation", "str-valuation",
+            "bool-valuation", "float-count", "str-count", "bool-count", "float-count-of-zero",
+            "float-abs-precision", "str-abs-precision", "bool-abs-precision",
+        ],
+    )
+    def test_non_integers_refused(self, build):
+        with pytest.raises(RangeError, match="must be an int"):
+            build()
+
+
 class TestExpStop:
     def test_first_index_past_the_bound(self):
         # every (p, v) on the exp disc: v >= 1, and v >= 2 at p = 2
