@@ -709,51 +709,74 @@ def sphere_randomness_test(
     )
 
 
-def _pattern_numerators(prime, depth, center, terms, mode) -> tuple[dict, int]:
-    """Numerators of the joint hit law over 2**N, N the last checkpoint:
-    (pattern -> numerator, N). The partial sums only matter modulo the
-    event's modulus, so the chain over residues stays tiny whatever the
-    checkpoint sizes."""
+def _checkpoint_chain(prime, depth, center, terms, mode, step, start) -> tuple[dict, int]:
+    """Numerators of a tagged chain over the checkpoints: (tag -> numerator
+    over 2**N, N), N the last checkpoint.
+
+    A state is (partial sum mod the event's modulus, tag). The tag starts
+    at `start`, and `step(tag, i, hit)` gives it after checkpoint i, where
+    `hit` says whether that checkpoint's sum lies in the event. The sums
+    only matter modulo the event's modulus, so the residues stay few
+    whatever the checkpoint sizes; the tags decide the chain's width. A
+    step that could make more than MAX_LAW_WIDTH states raises RangeError
+    before it runs: it makes at most the states times the increments its
+    gap can add, and at most the modulus times the tags it can give.
+    """
     mod, residues = event_residues(prime, depth, center, mode)
     terms = list(terms)
-    states: dict[tuple[int, tuple[bool, ...]], int] = {(0, ()): 1}
+    chain: dict = {start: {0: 1}}  # tag -> residue -> numerator
     pos = 0
-    for n in terms:
+    for i, n in enumerate(terms):
         if n <= pos:
             raise RangeError("checkpoints must be strictly increasing")
-        counts = _residue_law(1, 2, n - pos, mod)
-        nxt: dict[tuple[int, tuple[bool, ...]], int] = defaultdict(int)
-        if n == terms[-1]:
-            # after the last checkpoint only the pattern matters, so each
+        gap = n - pos
+        after = {tag: (step(tag, i, False), step(tag, i, True)) for tag in chain}
+        width = min(
+            sum(map(len, chain.values())) * min(mod, gap + 1),
+            mod * len({t for pair in after.values() for t in pair}),
+        )
+        if width > MAX_LAW_WIDTH:
+            raise RangeError(
+                f"checkpoint {i + 1} may reach {width} chain states, "
+                f"more than the limit of {MAX_LAW_WIDTH}"
+            )
+        # increments above the gap carry no mass, so the law is never wider than gap + 1
+        moves = [(c, cnt) for c, cnt in enumerate(_residue_law(1, 2, gap, min(mod, gap + 1))) if cnt]
+        nxt: dict = defaultdict(lambda: defaultdict(int))
+        if i == len(terms) - 1:
+            # after the last checkpoint only the tag matters, so each
             # residue needs just the mass of the increments that hit
-            hit_mass = [
-                sum(cnt for c, cnt in enumerate(counts) if (res + c) % mod in residues)
-                for res in range(mod)
-            ]
-            for (res, pat), val in states.items():
-                mass = val * hit_mass[res]
-                nxt[(0, pat + (True,))] += mass
-                nxt[(0, pat + (False,))] += (val << (n - pos)) - mass
+            hit_mass: dict[int, int] = {}
+            for tag, law in chain.items():
+                miss, hit = (nxt[t] for t in after[tag])
+                for res, val in law.items():
+                    if res not in hit_mass:
+                        hit_mass[res] = sum(cnt for c, cnt in moves if (res + c) % mod in residues)
+                    mass = val * hit_mass[res]
+                    hit[0] += mass
+                    miss[0] += (val << gap) - mass
         else:
-            for (res, pat), val in states.items():
-                for c, cnt in enumerate(counts):
-                    if cnt:
+            for tag, law in chain.items():
+                miss, hit = (nxt[t] for t in after[tag])
+                for res, val in law.items():
+                    for c, cnt in moves:
                         nres = (res + c) % mod
-                        nxt[(nres, pat + (nres in residues,))] += val * cnt
-        states = nxt
+                        (hit if nres in residues else miss)[nres] += val * cnt
+        chain = {tag: law for tag, law in nxt.items() if law}
         pos = n
-    numerators: dict[tuple[bool, ...], int] = defaultdict(int)
-    for (_, pat), val in states.items():
-        numerators[pat] += val
-    return numerators, pos
+    return {tag: sum(law.values()) for tag, law in chain.items()}, pos
 
 
 def checkpoint_pattern_distribution(
     prime, depth: int, center: int, terms, mode: str = "sphere"
 ) -> dict[tuple[bool, ...], Fraction]:
     """Exact joint law of the hit indicators at the checkpoints, under
-    the symmetric null."""
-    numerators, n = _pattern_numerators(prime, depth, center, terms, mode)
+    the symmetric null: the checkpoint chain tagged with the pattern so
+    far. It has up to 2**K patterns for K checkpoints, so a chain wider
+    than MAX_LAW_WIDTH states raises RangeError."""
+    numerators, n = _checkpoint_chain(
+        prime, depth, center, terms, mode, lambda pat, i, hit: pat + (hit,), ()
+    )
     den = 2**n
     return {pat: Fraction(val, den) for pat, val in numerators.items() if val}
 
@@ -761,11 +784,15 @@ def checkpoint_pattern_distribution(
 def hit_union_probability(
     prime, depth: int, center: int, terms, from_index: int = 0, mode: str = "sphere"
 ) -> Fraction:
-    """P(some checkpoint at position >= from_index hits), exactly, by
-    disjointification of the joint hit law, summed as integers over the
-    common power-of-two denominator. A from_index past the last checkpoint
+    """P(some checkpoint at position >= from_index hits), exactly: the
+    checkpoint chain tagged only with whether such a hit has happened, so
+    it holds at most two states per residue and costs O(K mod**2)
+    products for K checkpoints. A from_index past the last checkpoint
     gives 0, the probability of an empty union."""
     if from_index < 0:
         raise RangeError("from_index must be >= 0")
-    numerators, n = _pattern_numerators(prime, depth, center, terms, mode)
-    return Fraction(sum(val for pat, val in numerators.items() if any(pat[from_index:])), 2**n)
+    numerators, n = _checkpoint_chain(
+        prime, depth, center, terms, mode,
+        lambda seen, i, hit: seen or (hit and i >= from_index), False,
+    )
+    return Fraction(numerators.get(True, 0), 2**n)

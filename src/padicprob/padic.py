@@ -79,7 +79,7 @@ class Prime(int):
     def __new__(cls, value):
         if isinstance(value, Prime):
             return value
-        n = int(value)
+        n = _as_int(value, "prime")
         if n >= _PRIME_LIMIT:
             raise RangeError(f"primality check limited to inputs < 2**64, got {n}")
         if not _is_prime_u64(n):
@@ -248,7 +248,7 @@ class Ball:
     def __init__(self, prime, center, radius_exponent: int):
         self.prime = Prime(prime)
         self.center = as_fraction(center)
-        self.radius_exponent = int(radius_exponent)
+        self.radius_exponent = _as_int(radius_exponent, "radius exponent")
 
     def contains(self, x) -> bool:
         return vp(as_fraction(x) - self.center, self.prime) >= self.radius_exponent
@@ -277,7 +277,7 @@ class Sphere:
     def __init__(self, prime, center, radius_exponent: int):
         self.prime = Prime(prime)
         self.center = as_fraction(center)
-        self.radius_exponent = int(radius_exponent)
+        self.radius_exponent = _as_int(radius_exponent, "radius exponent")
 
     def contains(self, x) -> bool:
         return vp(as_fraction(x) - self.center, self.prime) == self.radius_exponent
@@ -294,13 +294,25 @@ def in_sphere(x, sphere: Sphere) -> bool:
     return sphere.contains(x)
 
 
+#: digit counts up to this take one divmod per digit; longer ones split first
+_DIGITS_CUTOFF = 64
+
+
 def to_digits(n: int, base: int, count: int) -> tuple[int, ...]:
     """The lowest `count` base-`base` digits of a natural n, least significant first.
+
+    Above _DIGITS_CUTOFF digits n is split by base**(count // 2) and each
+    half converted on its own, so a long string takes a few divisions of
+    large integers instead of one division of the whole n per digit.
 
     Examples:
         >>> to_digits(19, 3, 4)
         (1, 0, 2, 0)
     """
+    if count > _DIGITS_CUTOFF:
+        half = count // 2
+        high, low = divmod(n, base**half)
+        return to_digits(low, base, half) + to_digits(high, base, count - half)
     digits = []
     for _ in range(count):
         n, d = divmod(n, base)

@@ -1059,3 +1059,84 @@ class TestCheckpointPatterns:
             hit_union_probability(3, 1, 0, terms, from_index=-1)
         # past the last checkpoint the union is empty
         assert hit_union_probability(3, 1, 0, terms, from_index=len(terms)) == 0
+
+
+def _union_from_patterns(dist, from_index):
+    return sum((pr for pat, pr in dist.items() if any(pat[from_index:])), Fraction(0))
+
+
+def _enumerated_patterns(hit, terms):
+    """The hit-pattern law counted over every one of the 2**N strings, N the last checkpoint."""
+    n = terms[-1]
+    counts = Counter()
+    for x in range(2**n):
+        counts[tuple(hit(bin(x & ((1 << t) - 1)).count("1")) for t in terms)] += 1
+    return {pat: Fraction(v, 2**n) for pat, v in counts.items()}
+
+
+CHECKPOINTS = st.lists(st.integers(1, 12), min_size=1, max_size=6).map(
+    lambda gaps: [sum(gaps[: i + 1]) for i in range(len(gaps))]
+)
+
+
+class TestCheckpointChain:
+    # the union's two-tag chain against the full pattern law as the oracle
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 2),
+        st.integers(-20, 20),
+        st.sampled_from(["sphere", "residue"]),
+        CHECKPOINTS,
+        st.data(),
+    )
+    def test_union_is_the_pattern_mass_with_a_late_hit(self, p, depth, center, mode, terms, data):
+        from_index = data.draw(st.integers(0, len(terms) + 1))
+        dist = checkpoint_pattern_distribution(p, depth, center, terms, mode)
+        union = hit_union_probability(p, depth, center, terms, from_index, mode)
+        assert union == _union_from_patterns(dist, from_index)
+
+    # both laws against every string up to the last checkpoint
+    @settings(max_examples=60, deadline=None)
+    @given(
+        *EVENTS,
+        st.lists(st.integers(1, 10), min_size=1, max_size=5, unique=True).map(sorted),
+        st.data(),
+    )
+    def test_against_all_strings(self, p, depth, center, mode, terms, data):
+        assume(depth >= 1 or mode == "sphere")
+        from_index = data.draw(st.integers(0, len(terms)))
+        expected = _enumerated_patterns(_hit_closure(p, depth, center, mode), terms)
+        assert checkpoint_pattern_distribution(p, depth, center, terms, mode) == expected
+        union = hit_union_probability(p, depth, center, terms, from_index, mode)
+        assert union == _union_from_patterns(expected, from_index)
+
+    def test_many_checkpoints(self):
+        terms = [9 * k for k in range(1, 41)]
+        # P(no hit) by a walk over single bits that drops the mass of each hit
+        mod, residues = event_residues(3, 1, 0, "sphere")
+        miss = [1] + [0] * (mod - 1)
+        for t in range(1, terms[-1] + 1):
+            miss = [miss[r] + miss[r - 1] for r in range(mod)]
+            if t % 9 == 0:
+                miss = [0 if r in residues else m for r, m in enumerate(miss)]
+        expected = 1 - Fraction(sum(miss), 2 ** terms[-1])
+        assert hit_union_probability(3, 1, 0, terms) == expected
+        with pytest.raises(RangeError, match="more than the limit of 1048576"):
+            checkpoint_pattern_distribution(3, 1, 0, terms)
+
+    def test_empty_terms_and_refusals(self):
+        assert hit_union_probability(3, 1, 0, []) == 0
+        assert checkpoint_pattern_distribution(3, 1, 0, []) == {(): 1}
+        with pytest.raises(RangeError, match="strictly increasing"):
+            hit_union_probability(3, 1, 0, [4, 2], from_index=5)
+        with pytest.raises(RangeError, match="residues, more than the limit"):
+            hit_union_probability(1048583, 1, 0, [3])
+
+    # the modulus 1031**2 is wider than MAX_LAW_WIDTH, but gaps of at most
+    # 3 add at most 4 increments, so the chain stays small
+    def test_wide_modulus_short_gaps(self):
+        terms = [2, 5]
+        expected = _enumerated_patterns(_hit_closure(1031, 1, 1033, "sphere"), terms)
+        assert checkpoint_pattern_distribution(1031, 1, 1033, terms) == expected
+        assert hit_union_probability(1031, 1, 1033, terms) == _union_from_patterns(expected, 0) > 0

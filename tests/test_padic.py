@@ -31,7 +31,7 @@ from padicprob.padic import (
     to_digits,
     vp,
 )
-from padicprob.padic import _exp_stop
+from padicprob.padic import _DIGITS_CUTOFF, _exp_stop
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 RATIONALS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -58,6 +58,16 @@ class TestPrime:
     def test_is_an_int(self):
         assert isinstance(Prime(5), int)
         assert Prime(5) + 1 == 6
+
+    # int() would truncate a float, parse a string and read a bool as 1
+    @pytest.mark.parametrize("value", [3.9, 7.0, "7", True, Fraction(7), None])
+    def test_non_integers_refused(self, value):
+        with pytest.raises(RangeError, match="prime must be an int"):
+            Prime(value)
+
+    def test_vp_refuses_a_non_integer_prime(self):
+        with pytest.raises(RangeError):
+            vp(12, 3.9)
 
 
 class TestValuation:
@@ -163,6 +173,12 @@ class TestBallsAndSpheres:
         assert in_sphere(10, s)  # v3(9) = 2
         assert not in_sphere(28, s)  # v3(27) = 3
         assert not in_sphere(1, s)  # exact center: v = inf
+
+    @pytest.mark.parametrize("cls", [Ball, Sphere])
+    @pytest.mark.parametrize("radius", [1.7, 2.0, "2", True])
+    def test_non_integer_radius_refused(self, cls, radius):
+        with pytest.raises(RangeError, match="radius exponent must be an int"):
+            cls(3, 0, radius)
 
     def test_sphere_is_ball_difference(self):
         p, c, l = 5, 2, 1
@@ -776,6 +792,26 @@ class TestDigits:
         assert all(0 <= d < base for d in digits)
         assert from_digits(digits, base) == n
         assert to_digits(from_digits(digits, base), base, count) == digits
+
+    # the split above the cutoff against the one-divmod-per-digit loop
+    @settings(max_examples=200)
+    @given(
+        st.integers(2, 11),
+        st.one_of(
+            st.integers(0, 3 * _DIGITS_CUTOFF),
+            st.integers(-2, 2).map(lambda d: _DIGITS_CUTOFF + d),
+            st.integers(-2, 2).map(lambda d: 2 * _DIGITS_CUTOFF + d),
+        ),
+        st.data(),
+    )
+    def test_split_matches_the_loop(self, base, count, data):
+        top = base**count
+        n = data.draw(st.one_of(st.integers(0, top - 1), st.integers(top, top * base**5)))
+        digits, m = [], n
+        for _ in range(count):
+            m, d = divmod(m, base)
+            digits.append(d)
+        assert to_digits(n, base, count) == tuple(digits)
 
     # digits beyond `count` are dropped: to_digits reduces mod base**count
     @given(st.integers(2, 40), st.integers(0, 12), st.integers(0, 10**30))
