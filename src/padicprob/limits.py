@@ -16,6 +16,7 @@ p-adically below a significance threshold.
 
 from __future__ import annotations
 
+import logging
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -46,6 +47,8 @@ from .padic import (
 )
 from .reports import EXPONENT, FLAG, INT, RATIONAL, format_rational, json_exponent, table_lines
 from .series import FormalSeries, cosh_scaled_sq, exp_series, one
+
+LOGGER = logging.getLogger(__name__)
 
 
 def binom(n: int, r: int) -> int:
@@ -156,8 +159,8 @@ def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
     """Numerators N_r with P(S_n = r mod `mod`) = N_r / b**n, q = a/b.
 
     The law is (a + (b-a)x)**n in Z[x]/(x**mod - 1). When mod**3 <= n it
-    is computed by binary powering: O(mod**2 log n) products of integers
-    with O(n) bits. Otherwise it is one walk over the n + 1 exact terms
+    comes from `_split_law`, which powers one prime factor of mod at a
+    time. Otherwise it is one walk over the n + 1 exact terms
     C(n,j) (b-a)**j a**(n-j), each derived from the last by one small
     multiplication and one exact small division, folded mod `mod`. The
     route depends only on n and mod; both give the same integers. The
@@ -175,19 +178,19 @@ def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
             f"more than the limit of {MAX_LAW_BITS}"
         )
     if mod**3 <= n:
-        law = [1] + [0] * (mod - 1)
-        for bit in bin(n)[2:]:
-            square = [0] * mod
-            for i, u in enumerate(law):
-                if u:
-                    square[2 * i % mod] += u * u
-                    u2 = u << 1
-                    for j in range(i + 1, mod):
-                        square[(i + j) % mod] += u2 * law[j]
-            law = square
-            if bit == "1":
-                law = [a * law[i] + c * law[i - 1] for i in range(mod)]
-        return law
+        route, law = "split", _split_law(a, c, n, mod)
+    else:
+        route, law = "walk", _walk_law(a, c, n, mod)
+    if LOGGER.isEnabledFor(logging.DEBUG):
+        LOGGER.debug(
+            "residue law mod %d over n=%d by %s: largest entry %d bits",
+            mod, n, route, max(abs(v).bit_length() for v in law),
+        )
+    return law
+
+
+def _walk_law(a: int, c: int, n: int, mod: int) -> list[int]:
+    """(a + c x)**n mod x**mod - 1 by one walk over its n + 1 terms."""
     law = [0] * mod
     if a == 0:  # every trial gives 1: point mass at j = n
         law[n % mod] = c**n
@@ -197,6 +200,68 @@ def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
         law[j % mod] += term
         term = term * ((n - j) * c) // ((j + 1) * a)
     return law
+
+
+def _split_law(a: int, c: int, n: int, mod: int) -> list[int]:
+    """(a + c x)**n mod x**mod - 1, one prime factor of mod at a time.
+
+    The law mod x - 1 is [(a + c)**n]. From the law F mod x**m - 1 to the
+    law mod x**(pm) - 1: write x**(pm) - 1 = (x**m - 1) Psi with
+    Psi = 1 + x**m + ... + x**((p-1)m), and power G = (a + c x)**n mod Psi.
+    Psi's roots are the pm-th roots of unity zeta with zeta**m != 1, so
+    G's entries grow like |a + c zeta|**n, at most (|a| + |c|)**n and
+    often far less. Psi = p mod x**m - 1, so by CRT the law is G + u Psi,
+    where u is F minus G folded mod x**m - 1, divided exactly by p.
+    Larger primes go first, so the costliest step has the smallest degree.
+    """
+    law, m = [(a + c) ** n], 1
+    for p in _prime_factors(mod):
+        g = _power_mod_psi(a, c, n, p, m)
+        u = [(law[r] - sum(g[r::m])) // p for r in range(m)]
+        law = [v + u[k % m] for k, v in enumerate(g)] + u
+        m *= p
+    return law
+
+
+def _power_mod_psi(a: int, c: int, n: int, p: int, m: int) -> list[int]:
+    """(a + c x)**n mod Psi = 1 + x**m + ... + x**((p-1)m), by binary
+    powering: O(((p-1)m)**2 log n) products."""
+    deg, pm = (p - 1) * m, p * m
+    g = [1] + [0] * (deg - 1)
+    for bit in bin(n)[2:]:
+        square = [0] * (pm + deg)
+        for i, v in enumerate(g):
+            if v:
+                square[2 * i] += v * v
+                v2 = v << 1
+                for j in range(i + 1, deg):
+                    square[i + j] += v2 * g[j]
+        for k in range(pm, pm + deg):  # x**(pm) = 1
+            square[k - pm] += square[k]
+        for r in range(m):  # x**(deg + r) = -(x**r + x**(m + r) + ... )
+            top = square[deg + r]
+            for k in range(r, deg, m):
+                square[k] -= top
+        g = square[:deg]
+        if bit == "1":
+            top = c * g[-1]
+            g = [a * g[0]] + [a * g[i] + c * g[i - 1] for i in range(1, deg)]
+            for k in range(0, deg, m):
+                g[k] -= top
+    return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n with multiplicity, largest first."""
+    factors, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors[::-1]
 
 
 def _residue_probability(params: BernoulliParams, n: int, mod: int, residues) -> Fraction:
@@ -210,8 +275,9 @@ def _residue_probability(params: BernoulliParams, n: int, mod: int, residues) ->
 
 def ball_probability(params: BernoulliParams, n: int, depth: int, center: int) -> Fraction:
     """P(S_n in the ball of radius p**-depth around center): one entry of
-    the residue law mod p**depth. That law comes from binary powering
-    when p**(3 depth) <= n and from one walk over the terms otherwise."""
+    the residue law mod p**depth. That law comes from powering modulo
+    the cyclotomic factors of x**(p**depth) - 1, one at a time, when
+    p**(3 depth) <= n, and from one walk over the terms otherwise."""
     if depth < 0:
         raise RangeError("depth must be >= 0")
     return _residue_probability(params, n, params.prime**depth, [center])

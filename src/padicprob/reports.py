@@ -8,12 +8,16 @@ by format_exponent and a flag is 0/1. JSON output is one object per row
 with sorted keys: a rational is format_rational's "num/den" (the integer
 alone when the denominator is 1), an exponent goes through json_exponent
 and a flag is a boolean. A given summary is one more JSON object; CSV has none.
+A rational's integers are written by int_text, which is str() in less
+than quadratic time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 
 from .padic import PadicApprox
@@ -24,11 +28,55 @@ EXPONENT = "exponent"
 FLAG = "flag"
 
 
+#: integers of at most this many bits are written by plain str()
+TEXT_CUTOFF_BITS = 2**15
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+def int_text(n: int) -> str:
+    """str(n), in subquadratic time where str() of an int is quadratic.
+
+    Python 3.11 and earlier turn an int into decimal text in quadratic
+    time; above TEXT_CUTOFF_BITS bits such an int goes through
+    `_split_text`. From Python 3.12 on, str() splits by itself. Unlike
+    str(), the split ignores the interpreter's int-to-text digit limit.
+    """
+    if sys.version_info >= (3, 12) or n.bit_length() <= TEXT_CUTOFF_BITS:
+        return str(n)
+    return _split_text(n)
+
+
+def _split_text(n: int) -> str:
+    """The decimal text of n by divide and conquer: n is split in halves
+    by bits and rebuilt as an exact Decimal with Context.fma, whose
+    multiplication is subquadratic and whose text is linear."""
+    powers = {}  # 2**bits as a Decimal, for the widths of this n
+
+    def power_of_2(bits: int) -> Decimal:
+        if bits not in powers:
+            half = bits // 2
+            powers[bits] = (
+                Decimal(1 << bits)
+                if bits <= TEXT_CUTOFF_BITS
+                else _EXACT.multiply(power_of_2(half), power_of_2(bits - half))
+            )
+        return powers[bits]
+
+    def as_decimal(n: int, bits: int) -> Decimal:
+        if bits <= TEXT_CUTOFF_BITS:
+            return Decimal(n)
+        half = bits // 2
+        hi = n >> half
+        return _EXACT.fma(as_decimal(hi, bits - half), power_of_2(half), as_decimal(n - (hi << half), half))
+
+    return ("-" if n < 0 else "") + str(as_decimal(abs(n), abs(n).bit_length()))
+
+
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return int_text(x.numerator)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def format_exponent(e) -> str:
@@ -57,7 +105,7 @@ def format_value(value):
 
 _CSV_CELL = {
     INT: str,
-    RATIONAL: lambda x: f"{x.numerator},{x.denominator}",
+    RATIONAL: lambda x: f"{int_text(x.numerator)},{int_text(x.denominator)}",
     EXPONENT: format_exponent,
     FLAG: lambda b: str(int(b)),
 }

@@ -2,6 +2,7 @@
 and the checkpoint randomness test."""
 
 import json
+import logging
 import math
 import random
 from collections import Counter
@@ -196,8 +197,8 @@ class TestResidueLaw:
         assert law == folded
         assert sum(law) == b**n
 
-    # the route is binary powering when mod**3 <= n and the walk otherwise;
-    # each pair sits on both sides of that rule
+    # the route is the split by prime factors when mod**3 <= n and the walk
+    # otherwise; each pair sits on both sides of that rule
     @pytest.mark.parametrize(
         "a, b, n, mod",
         [
@@ -208,10 +209,34 @@ class TestResidueLaw:
             (0, 1, 729, 9), (0, 1, 728, 9),
             (1, 1, 729, 9), (1, 1, 728, 9),
             (1, 2, 1000, 1), (1, 2, 0, 1),
+            (1, 2, 216, 6), (1, 2, 215, 6),
+            (2, 3, 1000, 10), (2, 3, 999, 10),
+            (-1, 4, 1728, 12), (5, 4, 1727, 12),
         ],
     )
     def test_both_routes_match_binomials(self, a, b, n, mod):
         assert _residue_law(a, b, n, mod) == _direct_law(a, b, n, mod)
+
+    # n at or above mod**3, so the split runs: prime powers and composites
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
+        st.integers(1, 12).flatmap(lambda b: st.tuples(st.integers(-b, 2 * b), st.just(b))),
+        st.integers(0, 40),
+    )
+    def test_split_matches_binomials(self, mod, q, extra):
+        a, b = q  # q = a/b in [-1, 2], 0 and 1 included
+        n = mod**3 + extra
+        assert _residue_law(a, b, n, mod) == _direct_law(a, b, n, mod)
+
+    def test_debug_log_names_the_route(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="padicprob.limits"):
+            assert _residue_law(1, 2, 27, 3) == [44739242, 44739243, 44739243]
+            _residue_law(1, 2, 26, 3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "residue law mod 3 over n=27 by split: largest entry 26 bits",
+            "residue law mod 3 over n=26 by walk: largest entry 25 bits",
+        ]
 
     def test_bit_budget(self):
         # mod * n * bit_length(|a| + |b - a|) may reach MAX_LAW_BITS but not pass
