@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import AlphabetMismatch, DigitRange, DomainError, OscillationMissing, RangeError
-from .frequency import MAX_LAW_WIDTH
-from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction, digit_count, from_digits, to_digits
+from .errors import MAX_LAW_WIDTH, AlphabetMismatch, DigitRange, DomainError, OscillationMissing, RangeError, refuse_over
+from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction, from_digits, to_digits
 from .reports import INT, RATIONAL, table_lines
 
 Word = tuple[int, ...]
@@ -487,21 +486,17 @@ def integrate_continuous(
     """Riemann sum over all depth-n prefixes, with the guaranteed error
     |integral - sum|_p <= delta(n) * ||whole||_mu baked into the returned
     approximation's precision. A depth with more than MAX_LAW_WIDTH
-    prefixes raises RangeError. A map with a digit_term is summed by its
-    one-digit marginals, in O(|table| * n + q * n) steps; any other map
-    by evaluating each of the q**n prefixes."""
+    prefixes raises RangeError, whichever route sums them. A map with a
+    digit_term is summed by its one-digit marginals, in O(|table| * n +
+    q * n) steps; any other map by evaluating each of the q**n prefixes."""
     if f.oscillation is None:
         raise OscillationMissing("continuous integration needs an oscillation bound")
     if depth < 0:
         raise RangeError("depth must be >= 0")
     q, p = measure.q, measure.prime
-    # q**depth <= MAX_LAW_WIDTH exactly when depth is below the digit count
-    max_depth = digit_count(MAX_LAW_WIDTH, q) - 1
-    if depth > max_depth:
-        raise RangeError(
-            f"depth {depth} sums over more than {MAX_LAW_WIDTH} prefixes; "
-            f"the largest depth for q={q} is {max_depth}"
-        )
+    # q >= 2, so q to the bit length of the limit is over it: q**depth is never built
+    prefixes = q ** min(depth, MAX_LAW_WIDTH.bit_length())
+    refuse_over(prefixes, MAX_LAW_WIDTH, f"depth {depth} sums over {q}**{depth} prefixes")
     if f.digit_term is not None:
         total = _marginal_sum(measure, f.digit_term, depth)
     else:

@@ -3,7 +3,8 @@
 Every library error derives from PadicProbError. Four roots decide the
 CLI's exit code (cli.EXIT_CODES): RangeError 2 (also a ValueError, so
 existing `except ValueError` callers keep working), HypothesisViolation 3,
-InsufficientData 4, and any other PadicProbError 5.
+InsufficientData 4, and any other PadicProbError 5. Every size limit is
+defined here and checked by refuse_over before the bounded object is built.
 """
 
 from __future__ import annotations
@@ -73,3 +74,15 @@ class NotInvertible(PadicProbError):
 class RegionNotSignificant(PadicProbError):
     """A critical region's probability lies outside its significance
     neighborhood; the test is misconfigured."""
+
+
+MAX_LAW_WIDTH = 2**20  # residue-law entries, event residues, chain states, integrate prefixes
+MAX_LAW_BITS = 2**33  # bits of a residue law, 1 GiB: width * n * bit_length(|a| + |b - a|), q = a/b
+MAX_CHAIN_COST = 2**34  # one checkpoint-chain step: its products times their bit length
+MAX_POWERSET_OUTCOMES = 16  # powerset_field lists 2**outcomes events
+
+
+def refuse_over(cost: int, limit: int, what: str) -> None:
+    """Raise RangeError("<what>, more than the limit of <limit>") when cost > limit."""
+    if cost > limit:
+        raise RangeError(f"{what}, more than the limit of {limit}")

@@ -22,11 +22,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
+    MAX_LAW_WIDTH,
     ConditioningOnNull,
     InsufficientData,
     InvalidLabel,
     InvalidTarget,
     RangeError,
+    refuse_over,
 )
 from .padic import Ball, PadicApprox, Prime, as_fraction, digit_count, vp
 from .reports import EXPONENT, INT, RATIONAL, format_rational, format_value, table_lines
@@ -42,9 +44,6 @@ CAUCHY_NOTE = "Cauchy-window heuristic on finite evidence; not a convergence pro
 
 _WS = " \t\n\r\v\f"
 _STRIP_WS = str.maketrans("", "", _WS)
-
-#: the most residues a residue law or a tested event may list; more are refused, not allocated
-MAX_LAW_WIDTH = 2**20
 
 #: random_bits draws this many bits per getrandbits call
 _BIT_BLOCK = 4096
@@ -218,8 +217,7 @@ def event_residues(prime, depth: int, center: int, mode: str) -> tuple[int, froz
     p = Prime(prime)
     if depth < 0:
         raise RangeError("depth must be >= 0")
-    if p - 1 > MAX_LAW_WIDTH:
-        raise RangeError(f"the tested event lists {p - 1} residues, more than the limit of {MAX_LAW_WIDTH}")
+    refuse_over(p - 1, MAX_LAW_WIDTH, f"the tested event lists {p - 1} residues")
     small = p**depth
     if mode == "sphere":
         return small * p, frozenset((center + u * small) % (small * p) for u in range(1, p))
@@ -228,12 +226,31 @@ def event_residues(prime, depth: int, center: int, mode: str) -> tuple[int, froz
     raise RangeError(f"unknown mode {mode!r}")
 
 
+def event_depth(prime, depth: int, center: int, n: int) -> int:
+    """The depth at which to build the ball around center, or the sphere
+    or residue event of event_residues, for sums S in [0, n]: `depth`
+    itself, but at most the least d with n + |center| + p < p**d.
+
+    From depth d on, S - center and S - center - a for 0 < a < p are
+    below p**d in absolute value, so each is divisible by p**depth only
+    when it is 0: every such event is the same on [0, n] at depth d as at
+    any greater depth, and p**d is at most p * (n + |center| + p).
+
+    >>> event_depth(3, 10**9, 0, 40), event_depth(3, 2, -5, 40)
+    (4, 2)
+    """
+    p = Prime(prime)
+    return min(depth, digit_count(n + abs(center) + p, p))
+
+
 def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
     """Forward-fill a 0/1 sequence so that at every checkpoint N in
     terms the partial sum hits the tested event (see event_residues)
     exactly. Raises RangeError if some gap is too short to steer the sum.
     """
-    mod, targets = event_residues(prime, int(depth), int(center), mode)
+    terms = list(terms)
+    depth = event_depth(prime, int(depth), int(center), max(terms, default=0))
+    mod, targets = event_residues(prime, depth, int(center), mode)
     out = []
     s = 0
     pos = 0

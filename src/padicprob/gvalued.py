@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoRingStructure, NotInvertible, RangeError, RegionNotSignificant
+from .errors import MAX_POWERSET_OUTCOMES, NoRingStructure, NotInvertible, RangeError, RegionNotSignificant, refuse_over
 from .padic import Prime, abs_p, as_fraction
 
 PRACTICALLY_IMPOSSIBLE = "PracticallyImpossible"
@@ -320,8 +320,7 @@ class GDistribution:
 def powerset_field(outcomes) -> tuple[frozenset, ...]:
     """All subsets of a small outcome set, smallest first."""
     oms = tuple(outcomes)
-    if len(oms) > 16:
-        raise RangeError("power set limited to 16 outcomes")
+    refuse_over(len(oms), MAX_POWERSET_OUTCOMES, f"a power set of {len(oms)} outcomes")
     out = []
     for mask in range(1 << len(oms)):
         out.append(frozenset(om for i, om in enumerate(oms) if mask >> i & 1))

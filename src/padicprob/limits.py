@@ -26,14 +26,18 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import (
+    MAX_CHAIN_COST,
+    MAX_LAW_BITS,
+    MAX_LAW_WIDTH,
     DomainError,
     HypothesisViolation,
     InsufficientData,
     OrderError,
     PrecisionExhausted,
     RangeError,
+    refuse_over,
 )
-from .frequency import MAX_LAW_WIDTH, Collective, SequenceSelector, event_residues
+from .frequency import Collective, SequenceSelector, event_depth, event_residues
 from .padic import (
     PadicAbs,
     PadicApprox,
@@ -146,37 +150,27 @@ class SumDistribution:
     def weights(self) -> list[Fraction]:
         a, b = self.params.q.numerator, self.params.q.denominator
         den = b**self.n
-        # folding mod n + 1 keeps every j apart (and always takes the walk)
         return [Fraction(w, den) for w in _residue_law(a, b, self.n, self.n + 1)]
-
-
-#: bits a residue law may hold, 2**33 (1 GiB): `mod` entries of up to
-#: n * bit_length(|a| + |b - a|) bits each
-MAX_LAW_BITS = 2**33
 
 
 def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
     """Numerators N_r with P(S_n = r mod `mod`) = N_r / b**n, q = a/b.
 
-    The law is (a + (b-a)x)**n in Z[x]/(x**mod - 1). When mod**3 <= n it
-    comes from `_split_law`, which powers one prime factor of mod at a
-    time. Otherwise it is one walk over the n + 1 exact terms
-    C(n,j) (b-a)**j a**(n-j), each derived from the last by one small
-    multiplication and one exact small division, folded mod `mod`. The
-    route depends only on n and mod; both give the same integers. The
-    list has `mod` entries, so callers keep mod <= n + 1 where it may be
-    larger; a law wider than MAX_LAW_WIDTH, or one that may hold more
-    than MAX_LAW_BITS bits, raises RangeError.
+    Residues above n carry no mass, so a modulus above n + 1 is lowered
+    to n + 1, which keeps every j apart. The law is (a + (b-a)x)**n in
+    Z[x]/(x**mod - 1). When mod**3 <= n it comes from `_split_law`, which
+    powers one prime factor of mod at a time. Otherwise it is one walk
+    over the n + 1 exact terms C(n,j) (b-a)**j a**(n-j), each derived from
+    the last by one small multiplication and one exact small division,
+    folded mod `mod`. The route depends only on n and mod; both give the
+    same integers. A law of more than MAX_LAW_WIDTH entries, or one that
+    may hold more than MAX_LAW_BITS bits, raises RangeError before any work.
     """
-    if mod > MAX_LAW_WIDTH:
-        raise RangeError(f"residue law mod {mod} is wider than the limit of {MAX_LAW_WIDTH} entries")
+    mod = min(mod, n + 1)
+    refuse_over(mod, MAX_LAW_WIDTH, f"residue law mod {mod} has {mod} entries")
     c = b - a
     bits = mod * n * (abs(a) + abs(c)).bit_length()
-    if bits > MAX_LAW_BITS:
-        raise RangeError(
-            f"residue law mod {mod} over n={n} trials may hold {bits} bits, "
-            f"more than the limit of {MAX_LAW_BITS}"
-        )
+    refuse_over(bits, MAX_LAW_BITS, f"residue law mod {mod} over n={n} trials may hold {bits} bits")
     if mod**3 <= n:
         route, law = "split", _split_law(a, c, n, mod)
     else:
@@ -265,10 +259,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _residue_probability(params: BernoulliParams, n: int, mod: int, residues) -> Fraction:
-    """P(S_n mod `mod` lies in `residues`), from one residue law. Residues
-    above n carry no mass, so the law is never wider than n + 1."""
+    """P(S_n mod `mod` lies in `residues`), from one residue law."""
     a, b = params.q.numerator, params.q.denominator
-    law = _residue_law(a, b, n, min(mod, n + 1))
+    law = _residue_law(a, b, n, mod)
     wanted = {r % mod for r in residues}
     return Fraction(sum(law[r] for r in wanted if r < len(law)), b**n)
 
@@ -277,17 +270,20 @@ def ball_probability(params: BernoulliParams, n: int, depth: int, center: int) -
     """P(S_n in the ball of radius p**-depth around center): one entry of
     the residue law mod p**depth. That law comes from powering modulo
     the cyclotomic factors of x**(p**depth) - 1, one at a time, when
-    p**(3 depth) <= n, and from one walk over the terms otherwise."""
+    p**(3 depth) <= n, and from one walk over the terms otherwise. The
+    depth is cut to event_depth first, which keeps the ball on [0, n]."""
     if depth < 0:
         raise RangeError("depth must be >= 0")
-    return _residue_probability(params, n, params.prime**depth, [center])
+    p = params.prime
+    return _residue_probability(params, n, p ** event_depth(p, depth, center, n), [center])
 
 
 def sphere_probability(params: BernoulliParams, n: int, depth: int, center: int) -> Fraction:
     """P(v_p(S_n - center) == depth exactly): the depth-ball minus its
     child ball, i.e. the p - 1 other lifts of center mod p**(depth+1),
     read off one residue law."""
-    mod, residues = event_residues(params.prime, depth, center, "sphere")
+    p = params.prime
+    mod, residues = event_residues(p, event_depth(p, depth, center, n), center, "sphere")
     return _residue_probability(params, n, mod, residues)
 
 
@@ -722,13 +718,14 @@ def sphere_randomness_test(
     """
     p = Prime(prime)
     check_event_depth(depth)
-    mod, residues = event_residues(p, depth, center, mode)
     if not set(collective.alphabet) <= {"0", "1"}:
         raise RangeError("the sum test runs on 0/1 sequences")
     if kmin < 1 or kmax < kmin:
         raise RangeError("need 1 <= kmin <= kmax")
     params = symmetric_params(p)
     all_terms = selector.terms(kmax)
+    largest = max(all_terms, default=0)
+    mod, residues = event_residues(p, event_depth(p, depth, center, largest), center, mode)
     if len(all_terms) < kmax:
         raise InsufficientData("selector yields fewer usable terms than kmax")
     rows = []
@@ -783,33 +780,34 @@ def _checkpoint_chain(prime, depth, center, terms, mode, step, start) -> tuple[d
     at `start`, and `step(tag, i, hit)` gives it after checkpoint i, where
     `hit` says whether that checkpoint's sum lies in the event. The sums
     only matter modulo the event's modulus, so the residues stay few
-    whatever the checkpoint sizes; the tags decide the chain's width. A
-    step that could make more than MAX_LAW_WIDTH states raises RangeError
-    before it runs: it makes at most the states times the increments its
-    gap can add, and at most the modulus times the tags it can give.
+    whatever the checkpoint sizes; the tags decide the chain's width. The
+    event is built at event_depth for the last checkpoint. A step raises
+    RangeError before it runs if it could make more than MAX_LAW_WIDTH
+    states (at most the states times the increments its gap can add, and
+    at most the modulus times the tags it can give), or cost more than
+    MAX_CHAIN_COST: the states times the increments times the products'
+    bit length, n at a middle checkpoint and the gap at the last one,
+    which only adds up the increments that hit.
     """
-    mod, residues = event_residues(prime, depth, center, mode)
     terms = list(terms)
+    depth = event_depth(prime, depth, center, max(terms, default=0))
+    mod, residues = event_residues(prime, depth, center, mode)
     chain: dict = {start: {0: 1}}  # tag -> residue -> numerator
     pos = 0
     for i, n in enumerate(terms):
         if n <= pos:
             raise RangeError("checkpoints must be strictly increasing")
         gap = n - pos
+        last = i == len(terms) - 1
         after = {tag: (step(tag, i, False), step(tag, i, True)) for tag in chain}
-        width = min(
-            sum(map(len, chain.values())) * min(mod, gap + 1),
-            mod * len({t for pair in after.values() for t in pair}),
-        )
-        if width > MAX_LAW_WIDTH:
-            raise RangeError(
-                f"checkpoint {i + 1} may reach {width} chain states, "
-                f"more than the limit of {MAX_LAW_WIDTH}"
-            )
-        # increments above the gap carry no mass, so the law is never wider than gap + 1
-        moves = [(c, cnt) for c, cnt in enumerate(_residue_law(1, 2, gap, min(mod, gap + 1))) if cnt]
+        states, increments = sum(map(len, chain.values())), min(mod, gap + 1)
+        width = min(states * increments, mod * len({t for pair in after.values() for t in pair}))
+        refuse_over(width, MAX_LAW_WIDTH, f"checkpoint {i + 1} may reach {width} chain states")
+        cost = states * increments * (gap if last else n)
+        refuse_over(cost, MAX_CHAIN_COST, f"checkpoint {i + 1} may take {cost} bit operations")
+        moves = [(c, cnt) for c, cnt in enumerate(_residue_law(1, 2, gap, mod)) if cnt]
         nxt: dict = defaultdict(lambda: defaultdict(int))
-        if i == len(terms) - 1:
+        if last:
             # after the last checkpoint only the tag matters, so each
             # residue needs just the mass of the increments that hit
             hit_mass: dict[int, int] = {}
@@ -838,8 +836,8 @@ def checkpoint_pattern_distribution(
 ) -> dict[tuple[bool, ...], Fraction]:
     """Exact joint law of the hit indicators at the checkpoints, under
     the symmetric null: the checkpoint chain tagged with the pattern so
-    far. It has up to 2**K patterns for K checkpoints, so a chain wider
-    than MAX_LAW_WIDTH states raises RangeError."""
+    far. It has up to 2**K patterns for K checkpoints, so a chain over
+    the limits of _checkpoint_chain raises RangeError."""
     numerators, n = _checkpoint_chain(
         prime, depth, center, terms, mode, lambda pat, i, hit: pat + (hit,), ()
     )
@@ -853,8 +851,9 @@ def hit_union_probability(
     """P(some checkpoint at position >= from_index hits), exactly: the
     checkpoint chain tagged only with whether such a hit has happened, so
     it holds at most two states per residue and costs O(K mod**2)
-    products for K checkpoints. A from_index past the last checkpoint
-    gives 0, the probability of an empty union."""
+    products for K checkpoints, within MAX_CHAIN_COST per step. A
+    from_index past the last checkpoint gives 0, the probability of an
+    empty union."""
     if from_index < 0:
         raise RangeError("from_index must be >= 0")
     numerators, n = _checkpoint_chain(

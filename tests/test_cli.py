@@ -195,7 +195,9 @@ class TestTraceCommands:
         assert err.splitlines()[-1] == "error: the selector yields no usable terms"
 
     TEST_ARGS = ["--l", "1", "--r", "0", "--scheme", "1+p^k", "--eps-exp", "1", "--kmax", "1"]
-    LAW_TOO_WIDE = "residue law mod 18446744073709551557 is wider than the limit of 1048576 entries"
+    LAW_TOO_WIDE = (
+        "residue law mod 18446744073709551557 has 18446744073709551557 entries, more than the limit of 1048576"
+    )
     EVENT_TOO_WIDE = "the tested event lists 18446744073709551556 residues, more than the limit of 1048576"
 
     @pytest.mark.parametrize(
@@ -228,6 +230,29 @@ class TestTraceCommands:
             "error: residue law mod 1000003 over n=1000004 trials may hold 2000014000024 bits, "
             "more than the limit of 8589934592"
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm31", "--prime", "3", "--m", "2", "--r", "1", "--kmax", "4"],
+            ["thm32", "--prime", "3", "--r", "1", "--kmax", "4"],
+            ["test", "--periodic", "01", "--prime", "3", "--r", "0", "--scheme", "1+p^k", "--eps-exp", "2",
+             "--kmax", "4"],
+            ["test", "--random-bits", "1", "--prime", "3", "--r", "0", "--scheme", "1+p^k", "--eps-exp", "-3",
+             "--kmax", "4", "--mode", "residue"],
+            ["test", "--adversarial", "--prime", "3", "--r", "0", "--scheme", "1+p^k", "--eps-exp", "-3",
+             "--kmax", "4", "--mode", "residue"],
+        ],
+        ids=["thm31", "thm32", "test-sphere", "test-residue", "test-adversarial"],
+    )
+    def test_huge_depth_as_at_its_event_depth(self, capsys, argv):
+        # past about log_p of the largest sum every ball and event is the same
+        # on the sums that occur, so 3**1000000000 is never built
+        rc, expected, _ = run(capsys, argv + ["--l", "1000"])
+        assert rc == 0 and expected
+        start = time.monotonic()
+        assert run(capsys, argv + ["--l", "1000000000"])[:2] == (rc, expected)
+        assert time.monotonic() - start < 5
 
     def test_lln(self, capsys):
         rc, out, err = run(
@@ -382,18 +407,25 @@ class TestIntegrate:
         assert value.denominator == 1
         assert out.splitlines() == ["depth,value_num,value_den,error_exponent", f"{depth},{value},1,{depth}"]
 
-    @pytest.mark.parametrize("q, depth, largest", [("2", "21", 20), ("2", "40", 20), ("5", "9", 8)])
+    @pytest.mark.parametrize(
+        "q, depth, largest", [("2", "21", 20), ("2", "40", 20), ("5", "9", 8), ("5", "1000000000", 8)]
+    )
     def test_depth_beyond_limit(self, capsys, q, depth, largest):
-        # refused before any prefix is summed: depth 40 would be 2**40 prefixes
+        # refused before any prefix is summed: depth 40 would be 2**40 prefixes,
+        # and the check itself never builds 5**1000000000
         start = time.monotonic()
         rc, out, err = run(capsys, ["integrate", "--q", q, "--prime", "3", "--depth", depth])
         assert time.monotonic() - start < 5
         assert rc == EXIT_CODES["parse"] == 2
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: depth {depth} sums over more than 1048576 prefixes; "
-            f"the largest depth for q={q} is {largest}"
+            f"error: depth {depth} sums over {q}**{depth} prefixes, more than the limit of 1048576"
         ]
+        # the largest depth with at most 2**20 prefixes is still summed
+        rc, out, _ = run(capsys, ["integrate", "--q", q, "--prime", "3", "--depth", str(largest)])
+        assert rc == 0
+        assert out.splitlines()[1].startswith(f"{largest},")
+
 
 
 ADVERSARIAL = [

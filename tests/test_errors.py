@@ -3,12 +3,22 @@
 import ast
 import inspect
 import pathlib
+import time
 
 import pytest
 
 import padicprob
 from padicprob import cli, errors
 from padicprob.cli import EXIT_CODES, main
+from padicprob.frequency import event_residues
+from padicprob.gvalued import powerset_field
+from padicprob.limits import (
+    _residue_law,
+    checkpoint_pattern_distribution,
+    hit_union_probability,
+    sphere_probability,
+    symmetric_params,
+)
 
 SOURCES = sorted(pathlib.Path(padicprob.__file__).parent.glob("*.py"))
 ERROR_CLASSES = [
@@ -93,3 +103,102 @@ def test_exit_code_follows_the_root(capsys, monkeypatch, cls):
     assert rc == _expected_exit(cls)
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "error: refused"
+
+
+# -- the resource limits --------------------------------------------------
+
+LIMITS = ("MAX_LAW_WIDTH", "MAX_LAW_BITS", "MAX_CHAIN_COST", "MAX_POWERSET_OUTCOMES")
+
+
+def test_every_limit_goes_through_refuse_over():
+    # one message form, written once: no other module spells it out
+    found = [path.name for path in SOURCES if path.name != "errors.py" and "more than the limit of" in path.read_text()]
+    assert found == []
+
+
+def test_every_limit_is_assigned_once_in_errors():
+    assigned = [
+        f"{path.name}:{target.id}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in LIMITS
+    ]
+    assert sorted(assigned) == sorted(f"errors.py:{name}" for name in LIMITS)
+
+
+def test_refuse_over_at_and_past_the_limit():
+    errors.refuse_over(5, 5, "five")
+    with pytest.raises(errors.RangeError) as info:
+        errors.refuse_over(6, 5, "six things")
+    assert str(info.value) == "six things, more than the limit of 5"
+
+
+class TestBoundaries:
+    """Each refusal accepts its limit and refuses one more. Where a law at
+    the limit would pass on to a later limit, the later limit's message
+    shows that this one let it through."""
+
+    def test_residue_law_width(self):
+        # a = 0 is a point mass, but 2**20 entries over 2**20 trials hold too many bits
+        with pytest.raises(errors.RangeError, match=r"^residue law mod 1048576 over n=1048576 trials may hold"):
+            _residue_law(0, 1, 2**20, 2**20)
+        with pytest.raises(errors.RangeError) as info:
+            _residue_law(0, 1, 2**20, 2**20 + 1)
+        assert str(info.value) == "residue law mod 1048577 has 1048577 entries, more than the limit of 1048576"
+        # a modulus above n + 1 is lowered to n + 1 first
+        assert _residue_law(1, 2, 3, 2**64) == [1, 3, 3, 1]
+
+    def test_event_residues(self):
+        # 1048573 is the largest prime with p - 1 <= 2**20, 1048583 the next one
+        assert len(event_residues(1048573, 1, 0, "residue")[1]) == 1048572
+        with pytest.raises(errors.RangeError) as info:
+            event_residues(1048583, 1, 0, "residue")
+        assert str(info.value) == "the tested event lists 1048582 residues, more than the limit of 1048576"
+
+    def test_chain_states(self):
+        # mod 2**21, one state, gap 2**20 - 1: 2**20 states pass and the cost refuses
+        with pytest.raises(errors.RangeError, match=r"^checkpoint 1 may take \d+ bit operations"):
+            checkpoint_pattern_distribution(2, 20, 0, [2**20 - 1])
+        with pytest.raises(errors.RangeError) as info:
+            checkpoint_pattern_distribution(2, 20, 0, [2**20])
+        assert str(info.value) == "checkpoint 1 may reach 1048577 chain states, more than the limit of 1048576"
+
+    def test_chain_cost(self):
+        # one state times 2**17 increments times a gap of 2**17 bits is 2**34
+        assert errors.MAX_CHAIN_COST == 2**34
+        with pytest.raises(errors.RangeError, match=r"^residue law mod 131072 over n=131072 trials"):
+            hit_union_probability(2, 16, 0, [2**17])
+        with pytest.raises(errors.RangeError) as info:
+            hit_union_probability(2, 16, 0, [2**17 + 1])
+        assert str(info.value) == (
+            "checkpoint 1 may take 17180000256 bit operations, more than the limit of 17179869184"
+        )
+
+    def test_powerset_outcomes(self):
+        assert len(powerset_field(range(16))) == 2**16
+        with pytest.raises(errors.RangeError) as info:
+            powerset_field(range(17))
+        assert str(info.value) == "a power set of 17 outcomes, more than the limit of 16"
+
+
+class TestChainCost:
+    @pytest.mark.parametrize(
+        "terms", [[10**6, 2 * 10**6], [10**4, 2 * 10**4, 3 * 10**4]], ids=["gap-1e6", "gap-1e4"]
+    )
+    def test_wide_event_with_long_gaps_refused_at_once(self, terms):
+        # modulus 509**2: hours of big-integer products, refused before the first one
+        start = time.monotonic()
+        with pytest.raises(errors.RangeError, match="bit operations, more than the limit of 17179869184"):
+            hit_union_probability(509, 1, 0, terms)
+        assert time.monotonic() - start < 1
+
+    def test_modulus_841_still_answered(self):
+        # 841 states times 841 increments times 2000 bits: about 1.4 * 10**9
+        terms = [1000, 2000, 3000]
+        value = hit_union_probability(29, 1, 0, terms)
+        # the union lies between its largest and the sum of its three marginals
+        marginals = [sphere_probability(symmetric_params(29), n, 1, 0) for n in terms]
+        assert max(marginals) < value < sum(marginals)
+        assert 2**3000 % value.denominator == 0

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicprob.errors import (
+    MAX_LAW_BITS,
     DomainError,
     HypothesisViolation,
     InsufficientData,
@@ -25,11 +26,11 @@ from padicprob.frequency import (
     Collective,
     SequenceSelector,
     checkpoint_forcing_bits,
+    event_depth,
     event_residues,
 )
 from padicprob.limits import (
     BOUND_CHECK_NOTE,
-    MAX_LAW_BITS,
     VERDICT_CONVERGING,
     VERDICT_INCONCLUSIVE,
     BernoulliParams,
@@ -194,7 +195,9 @@ class TestResidueLaw:
         folded = [0] * mod
         for j, w in enumerate(SumDistribution(n, BernoulliParams(p, q)).weights()):
             folded[j % mod] += w * b**n
-        assert law == folded
+        # residues above n carry no mass, so the law lists at most n + 1 of them
+        assert law == folded[: n + 1]
+        assert not any(folded[n + 1 :])
         assert sum(law) == b**n
 
     # the route is the split by prime factors when mod**3 <= n and the walk
@@ -1021,6 +1024,34 @@ class TestEventResidues:
         assert _residue_probability(symmetric_params(p), n, mod, residues) == expected
         if mode == "sphere":
             assert sphere_probability(symmetric_params(p), n, depth, center) == expected
+
+    # past event_depth the ball, the sphere and the residue event are the
+    # same on every sum in [0, n], so the clamped depth gives the same law
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 60),
+        st.integers(-60, 60),
+        st.sampled_from(["ball", "sphere", "residue"]),
+        st.integers(-3, 3),
+    )
+    def test_event_depth_keeps_every_sum(self, p, n, center, mode, offset):
+        d = event_depth(p, 10**9, center, n)
+        assert p ** (d - 1) <= n + abs(center) + p < p**d
+        depth = max(d + offset, 0)
+        clamped = event_depth(p, depth, center, n)
+        assert clamped == min(depth, d)
+
+        def hits(k):
+            if mode == "ball":
+                return [(s - center) % p**k == 0 for s in range(n + 1)]
+            mod, residues = event_residues(p, k, center, mode)
+            return [s % mod in residues for s in range(n + 1)]
+
+        assert hits(clamped) == hits(depth)
+        if mode == "ball" and p != 2:  # the symmetric law needs 2 to be a p-adic unit
+            expected = Fraction(sum(comb(n, s) for s, hit in enumerate(hits(depth)) if hit), 2**n)
+            assert ball_probability(symmetric_params(p), n, depth, center) == expected
 
     def test_depth_zero_and_argument_checks(self):
         assert event_residues(3, 0, 1, "sphere") == (3, frozenset({0, 2}))
