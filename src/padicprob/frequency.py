@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .errors import (
     MAX_LAW_WIDTH,
+    MAX_SYMBOLS,
     ConditioningOnNull,
     InsufficientData,
     InvalidLabel,
@@ -45,21 +46,35 @@ CAUCHY_NOTE = "Cauchy-window heuristic on finite evidence; not a convergence pro
 _WS = " \t\n\r\v\f"
 _STRIP_WS = str.maketrans("", "", _WS)
 
-#: random_bits draws this many bits per getrandbits call
+#: random bits are drawn this many 32-bit words per getrandbits call
 _BIT_BLOCK = 4096
+#: bit 31 of each 32-bit word of a block: getrandbits(1) is that bit of one draw
+_TOP_MASK = int.from_bytes(b"\0\0\0\x80" * _BIT_BLOCK, "little")
 #: byte -> "0" or "1" by its top bit
 _TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
+#: a stored string is counted this many symbols at a time
+_COUNT_PIECE = 2**15
+#: a generator is read this many symbols at a time
+_READ_PIECE = 2**16
+
+
+def _refuse(bad, alphabet) -> None:
+    if bad:
+        raise InvalidLabel(f"symbols {sorted(bad)} outside alphabet {alphabet}")
 
 
 class Collective:
     """A symbol sequence over a finite alphabet of single characters.
 
     Sources: an in-memory string, a file of ASCII symbols (whitespace
-    ignored), or a deterministic generator. Prefixes of any requested
-    length are served exactly; a finite source that runs short raises
-    InsufficientData. The symbols read so far are held as one string,
-    and each label set keeps a running count, so counts at growing
-    sample sizes scan each symbol once.
+    ignored), a deterministic generator, a periodic word, or seeded
+    random bits. Prefixes of any requested length are served exactly; a
+    finite source that runs short raises InsufficientData. Each kind of
+    source has its own counter: strings and generators are held as one
+    string with a running count per label set, a periodic word is counted
+    in closed form, and random bits are counted as they are drawn and
+    never stored. Beyond the periodic count, no source serves more than
+    MAX_SYMBOLS symbols.
     """
 
     def __init__(self, alphabet, symbols="", generator=None, description="collective"):
@@ -69,16 +84,21 @@ class Collective:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise RangeError("alphabet has repeated symbols")
         # deleting the alphabet leaves only the stray symbols
-        self._drop_alphabet = str.maketrans("", "", "".join(self.alphabet))
+        drop_alphabet = str.maketrans("", "", "".join(self.alphabet))
         if isinstance(symbols, str):
-            bad = set(symbols.translate(self._drop_alphabet))
+            bad = set(symbols.translate(drop_alphabet))
         else:
             symbols = list(symbols)
             bad = set(symbols) - set(self.alphabet)
-        self._refuse(bad)
-        self._buf = symbols if isinstance(symbols, str) else "".join(symbols)
-        self._gen = generator
-        self._counts = {}  # label set -> (n, occurrences among the first n symbols)
+        _refuse(bad, self.alphabet)
+        if isinstance(generator, (_Periodic, _RandomBits)):
+            self._source = generator
+        else:
+            symbols = symbols if isinstance(symbols, str) else "".join(symbols)
+            self._source = _Stored(symbols, generator, self.alphabet, description)
+        # drawn bits are checked against the alphabet as they are counted
+        drawn = "01" if isinstance(generator, _RandomBits) else ""
+        self._strays = frozenset(drawn) - set(self.alphabet)
         self.description = description
 
     # -- sources --------------------------------------------------------
@@ -113,13 +133,8 @@ class Collective:
             raise RangeError("periodic word must be nonempty")
         if alphabet is None:
             alphabet = "01" if set(word) <= {"0", "1"} else "".join(sorted(set(word)))
-        # the first period goes in as symbols, so __init__ checks the alphabet
-        return cls(
-            alphabet,
-            symbols=word,
-            generator=itertools.cycle(word),
-            description=f"periodic:{word}",
-        )
+        # the word goes in as symbols too, so __init__ checks the alphabet
+        return cls(alphabet, symbols=word, generator=_Periodic(word), description=f"periodic:{word}")
 
     @classmethod
     def alternating(cls) -> "Collective":
@@ -127,26 +142,16 @@ class Collective:
 
     @classmethod
     def random_bits(cls, seed: int) -> "Collective":
-        import random
-
-        rng = random.Random(seed)
-
-        def blocks():
-            # getrandbits(32*B) packs B successive 32-bit draws, least
-            # significant first; getrandbits(1) is the top bit of one draw
-            while True:
-                draws = rng.getrandbits(32 * _BIT_BLOCK).to_bytes(4 * _BIT_BLOCK, "little")
-                yield draws[3::4].translate(_TOP_BIT).decode("ascii")
-
-        return cls(
-            "01",
-            generator=itertools.chain.from_iterable(blocks()),
-            description=f"random:{seed}",
-        )
+        return cls("01", generator=_RandomBits(seed), description=f"random:{seed}")
 
     def with_alphabet(self, alphabet) -> "Collective":
-        """This source over another alphabet (the new collective takes the source over)."""
-        return Collective(alphabet, self._buf, self._gen, self.description)
+        """This source over another alphabet (the new collective takes the
+        source over; random bits and periodic words are shared)."""
+        src = self._source
+        if isinstance(src, _Stored):
+            return Collective(alphabet, src.buf, src.gen, self.description)
+        word = src.word if isinstance(src, _Periodic) else ""
+        return Collective(alphabet, word, src, self.description)
 
     @classmethod
     def checkpoint_forcing(cls, prime, depth, center, terms, mode="sphere") -> "Collective":
@@ -155,40 +160,23 @@ class Collective:
 
     # -- access ----------------------------------------------------------
 
-    def _refuse(self, bad) -> None:
-        if bad:
-            raise InvalidLabel(f"symbols {sorted(bad)} outside alphabet {self.alphabet}")
-
-    def _fill(self, n: int) -> None:
-        """Hold at least n symbols, or raise InsufficientData (InvalidLabel on a stray)."""
+    def _check(self, n: int) -> None:
+        """Refuse a negative n, and a drawn symbol outside the alphabet
+        among the first n (InvalidLabel)."""
         if n < 0:
             raise RangeError("prefix length must be >= 0")
-        need = n - len(self._buf)
-        if need > 0 and self._gen is not None:
-            more = "".join(itertools.islice(self._gen, need))
-            bad = set(more.translate(self._drop_alphabet))
-            if len(more) < need or bad:
-                self._gen = None  # a source that ran short or strayed yields no more
-            self._refuse(bad)
-            self._buf += more
-        if len(self._buf) < n:
-            raise InsufficientData(
-                f"{self.description} holds {len(self._buf)} symbols, {n} requested"
-            )
+        if self._strays:
+            _refuse({s for s in self._strays if self._source.count({s}, n)}, self.alphabet)
 
     def prefix(self, n: int) -> str:
-        self._fill(n)
-        return self._buf[:n]
+        refuse_over(n, MAX_SYMBOLS, f"{self.description} asked for a prefix of {n} symbols")
+        self._check(n)
+        return self._source.prefix(n)
 
     def count(self, labels, n: int) -> int:
         labels = self.labelset(labels)
-        self._fill(n)
-        start, seen = self._counts.get(labels, (0, 0))
-        if n < start:
-            start, seen = 0, 0
-        seen += sum(self._buf.count(ch, start, n) for ch in labels)
-        self._counts[labels] = (n, seen)
-        return seen
+        self._check(n)
+        return self._source.count(labels, n)
 
     def labelset(self, labels) -> frozenset:
         out = frozenset(labels)
@@ -196,6 +184,148 @@ class Collective:
         if bad:
             raise InvalidLabel(f"labels {sorted(bad)} outside alphabet {self.alphabet}")
         return out
+
+
+def _count_labels(text: str, start: int, stop: int, table) -> int:
+    """Occurrences in text[start:stop] of the symbols that `table` maps to
+    "1" (every other symbol of text maps to "0"); table None means text
+    is 0/1 and the label is "1".
+
+    A branch-free count: each piece becomes a base-2 integer whose set
+    bits are counted. str.count would mispredict a branch per symbol.
+    """
+    seen = 0
+    for i in range(start, stop, _COUNT_PIECE):
+        piece = text[i : min(i + _COUNT_PIECE, stop)]
+        if table is not None:
+            piece = piece.translate(table)
+        seen += int(piece, 2).bit_count()
+    return seen
+
+
+class _Stored:
+    """Symbols held as one string: given at once, or read from a
+    generator in pieces, each checked against the alphabet. Each label set
+    keeps a running count, so counts at growing sample sizes scan each
+    symbol once."""
+
+    def __init__(self, buf: str, gen, alphabet: tuple, description: str):
+        self.buf = buf
+        self.gen = gen
+        self.alphabet = alphabet
+        self.description = description
+        self._counts = {}  # label set -> (n, occurrences among the first n, translate table)
+
+    def _fill(self, n: int) -> None:
+        """Hold at least n symbols, or raise InsufficientData (InvalidLabel on a stray)."""
+        need = n - len(self.buf)
+        if need > 0 and self.gen is not None:
+            refuse_over(n, MAX_SYMBOLS, f"{self.description} asked for {n} symbols")
+            drop = str.maketrans("", "", "".join(self.alphabet))
+            pieces, bad = [self.buf], set()
+            while need > 0 and self.gen is not None:
+                step = min(need, _READ_PIECE)
+                piece = "".join(itertools.islice(self.gen, step))
+                bad = set(piece.translate(drop))
+                if len(piece) < step or bad:
+                    self.gen = None  # a source that ran short or strayed yields no more
+                if not bad:
+                    pieces.append(piece)
+                    need -= len(piece)
+            self.buf = "".join(pieces)
+            _refuse(bad, self.alphabet)
+        if len(self.buf) < n:
+            raise InsufficientData(f"{self.description} holds {len(self.buf)} symbols, {n} requested")
+
+    def prefix(self, n: int) -> str:
+        self._fill(n)
+        return self.buf[:n]
+
+    def count(self, labels: frozenset, n: int) -> int:
+        self._fill(n)
+        start, seen, table = self._counts.get(labels) or (0, 0, self._table(labels))
+        if n < start:
+            start, seen = 0, 0
+        seen += _count_labels(self.buf, start, n, table)
+        self._counts[labels] = (n, seen, table)
+        return seen
+
+    def _table(self, labels: frozenset):
+        if labels == {"1"} and set(self.alphabet) == {"0", "1"}:
+            return None
+        return str.maketrans({a: "01"[a in labels] for a in self.alphabet})
+
+
+class _Periodic:
+    """A word repeated forever, counted in closed form."""
+
+    def __init__(self, word: str):
+        self.word = word
+
+    def prefix(self, n: int) -> str:
+        full, rest = divmod(n, len(self.word))
+        return self.word * full + self.word[:rest]
+
+    def count(self, labels, n: int) -> int:
+        full, rest = divmod(n, len(self.word))
+        return sum(full * self.word.count(ch) + self.word.count(ch, 0, rest) for ch in labels)
+
+
+class _RandomBits:
+    """Seeded fair bits, one getrandbits(1) each, counted as they are
+    drawn and never stored.
+
+    getrandbits(32*B) packs B successive 32-bit draws, least significant
+    first, and getrandbits(1) is the top bit of one draw; so the ones
+    among B symbols are (block & _TOP_MASK).bit_count(). The source keeps
+    its position, the ones before it and the uncounted words of the
+    current block; a count below the position replays from the seed.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._restart()
+
+    def _restart(self) -> None:
+        import random
+
+        self._rng = random.Random(self.seed)
+        self._pos = 0  # symbols counted
+        self._ones = 0  # ones among them
+        self._rest = 0  # the current block's uncounted words, masked, first at bit 0
+        self._left = 0  # words in _rest
+
+    def _ones_before(self, n: int) -> int:
+        refuse_over(n, MAX_SYMBOLS, f"random:{self.seed} asked for {n} symbols")
+        if n < self._pos:
+            self._restart()
+        pos, ones, rest, left = self._pos, self._ones, self._rest, self._left
+        getrandbits = self._rng.getrandbits
+        while pos < n:
+            if not left:
+                rest, left = getrandbits(32 * _BIT_BLOCK) & _TOP_MASK, _BIT_BLOCK
+            take = min(n - pos, left)
+            low = rest if take == left else rest & ((1 << 32 * take) - 1)
+            ones += low.bit_count()
+            rest >>= 32 * take
+            pos, left = pos + take, left - take
+        self._pos, self._ones, self._rest, self._left = pos, ones, rest, left
+        return ones
+
+    def count(self, labels, n: int) -> int:
+        ones = self._ones_before(n)
+        return ("1" in labels) * ones + ("0" in labels) * (n - ones)
+
+    def prefix(self, n: int) -> str:
+        """The first n symbols, drawn again from the seed."""
+        import random
+
+        getrandbits = random.Random(self.seed).getrandbits
+        pieces = []
+        for start in range(0, n, _BIT_BLOCK):
+            draws = getrandbits(32 * _BIT_BLOCK).to_bytes(4 * _BIT_BLOCK, "little")
+            pieces.append(draws[3::4].translate(_TOP_BIT)[: n - start].decode("ascii"))
+        return "".join(pieces)
 
 
 def relative_frequency(collective: Collective, labels, n: int) -> Fraction:

@@ -573,6 +573,24 @@ class TestFreq:
                 argv[1:3] = ["--input", str(path)]
                 assert run(capsys, argv)[0] == code
 
+    def test_huge_periodic_sample_in_closed_form(self, capsys):
+        # 10**10 symbols are counted from the word, none is produced
+        rc, out, _ = run(capsys, ["freq", "--periodic", "01", "--labels", "1", "--prime", "2",
+                                  "--scheme", "list:10,10000000000", "--kmax", "2", "--window", "1"])
+        assert rc == 0
+        assert out.splitlines() == ["k,N_k,nu_num,nu_den,vp_gap", "1,10,1,2,", "2,10000000000,1,2,inf"]
+
+    def test_random_bits_past_the_symbol_limit_refused_at_once(self, capsys):
+        start = time.monotonic()
+        rc, out, err = run(capsys, ["freq", "--random-bits", "1", "--labels", "1", "--prime", "2",
+                                    "--scheme", "list:1,2,3,1073741825", "--kmax", "4"])
+        assert time.monotonic() - start < 2
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "error: random:1 asked for 1073741825 symbols, more than the limit of 1073741824"
+        )
+
     def test_seeded_source_is_deterministic(self, capsys):
         argv = ["freq", "--random-bits", "7", "--labels", "1", "--prime", "3",
                 "--scheme", "1+p^k", "--kmax", "6"]

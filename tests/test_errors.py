@@ -10,7 +10,7 @@ import pytest
 import padicprob
 from padicprob import cli, errors
 from padicprob.cli import EXIT_CODES, main
-from padicprob.frequency import event_residues
+from padicprob.frequency import Collective, event_residues
 from padicprob.gvalued import powerset_field
 from padicprob.limits import (
     _residue_law,
@@ -107,7 +107,7 @@ def test_exit_code_follows_the_root(capsys, monkeypatch, cls):
 
 # -- the resource limits --------------------------------------------------
 
-LIMITS = ("MAX_LAW_WIDTH", "MAX_LAW_BITS", "MAX_CHAIN_COST", "MAX_POWERSET_OUTCOMES")
+LIMITS = ("MAX_LAW_WIDTH", "MAX_LAW_BITS", "MAX_CHAIN_COST", "MAX_POWERSET_OUTCOMES", "MAX_SYMBOLS")
 
 
 def test_every_limit_goes_through_refuse_over():
@@ -181,6 +181,24 @@ class TestBoundaries:
         with pytest.raises(errors.RangeError) as info:
             powerset_field(range(17))
         assert str(info.value) == "a power set of 17 outcomes, more than the limit of 16"
+
+    def test_symbols(self):
+        # a generator of two symbols: at the limit it is read and runs short,
+        # one past the limit nothing is read
+        gen = iter("0110")
+        with pytest.raises(errors.InsufficientData):
+            Collective("01", generator=gen, description="four").count("1", 2**30)
+        gen = iter("0110")
+        with pytest.raises(errors.RangeError) as info:
+            Collective("01", generator=gen, description="four").count("1", 2**30 + 1)
+        assert str(info.value) == "four asked for 1073741825 symbols, more than the limit of 1073741824"
+        assert next(gen) == "0"
+        with pytest.raises(errors.RangeError, match="^random:3 asked for 1073741825 symbols"):
+            Collective.random_bits(3).count("1", 2**30 + 1)
+        with pytest.raises(errors.RangeError, match="^periodic:01 asked for a prefix of 1073741825 symbols"):
+            Collective.periodic("01").prefix(2**30 + 1)
+        # a periodic count is closed form, with no limit
+        assert Collective.periodic("011").count("1", 3 * 10**12 + 2) == 2 * 10**12 + 1
 
 
 class TestChainCost:

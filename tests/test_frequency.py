@@ -16,6 +16,8 @@ from padicprob.errors import (
 )
 from padicprob.frequency import (
     _BIT_BLOCK,
+    _COUNT_PIECE,
+    _READ_PIECE,
     CAUCHY_NOTE,
     Collective,
     SequenceSelector,
@@ -238,6 +240,69 @@ class TestRunningCount:
             assert c.count("ab", n) == sum(ch in "ab" for ch in head)
             assert c.count("a", n) == head.count("a")
             assert c.count("ab", n) == sum(ch in "ab" for ch in head)
+
+
+#: edges of the block and piece loops
+_EDGES = (_BIT_BLOCK, _COUNT_PIECE - 1, _COUNT_PIECE + 1, _READ_PIECE - 1, _READ_PIECE + 1)
+
+
+@st.composite
+def _source_counts(draw):
+    """A source, the reference symbols it holds, and interleaved (labels, n)
+    calls whose n rises, falls and repeats under alternating label sets."""
+    kind = draw(st.sampled_from(["periodic", "random", "memory", "generator"]))
+    seed = draw(st.integers(0, 2**40))
+    word = ""
+    if kind == "periodic":
+        alphabet = draw(st.sampled_from(["01", "abc"]))
+        word = draw(st.text(alphabet, min_size=1, max_size=12))
+        size = draw(st.integers(1, 10**4))
+    else:
+        # "012" holds a label never drawn, and "0a" lacks the drawn "1"
+        alphabet = draw(st.sampled_from(["01", "012", "0a"] if kind == "random" else ["01", "abc"]))
+        size = draw(st.sampled_from([40, *_EDGES, _READ_PIECE + 2]))
+    if kind in ("memory", "generator"):
+        ref = "".join(random.Random(seed).choices(alphabet, k=size))
+    else:
+        ref = _reference_symbols(kind, word, seed, size)
+    label_sets = draw(
+        st.lists(st.sets(st.sampled_from(alphabet)).map("".join), min_size=2, max_size=3)
+    )
+    # every edge within reach, and the full size, in a drawn order
+    edges = draw(st.permutations([size, *(e for e in _EDGES if e < size)]))
+    calls = []
+    for n in draw(st.lists(st.one_of(st.none(), st.integers(0, size)), max_size=8)) + edges:
+        if n is None:  # repeat the last size
+            n = calls[-1][1] if calls else 0
+        calls.append((draw(st.sampled_from(label_sets)), n))
+    return kind, alphabet, word, seed, ref, calls
+
+
+class TestSources:
+    @settings(max_examples=60, deadline=None)
+    @given(_source_counts())
+    def test_each_source_counts_as_a_stored_string(self, session):
+        kind, alphabet, word, seed, ref, calls = session
+        if kind == "periodic":
+            c = Collective.periodic(word, alphabet=alphabet)
+        elif kind == "random":
+            c = Collective.random_bits(seed).with_alphabet(alphabet)
+        elif kind == "memory":
+            c = Collective(alphabet, symbols=ref)
+        else:
+            c = Collective(alphabet, generator=iter(ref))
+        # the same symbols read as a stored string from a generator
+        stored = Collective(alphabet, generator=iter(ref))
+        for labels, n in calls:
+            try:
+                want = stored.count(labels, n)
+            except InvalidLabel as exc:
+                # a drawn symbol outside the alphabet, refused the same way
+                with pytest.raises(InvalidLabel) as got:
+                    c.count(labels, n)
+                assert str(got.value) == str(exc)
+                return
+            assert c.count(labels, n) == want == sum(ref.count(ch, 0, n) for ch in labels)
 
 
 class TestSelectors:
