@@ -294,7 +294,7 @@ def _cmd_test(args):
     selector = parse_selector(args.scheme, p)
     if args.adversarial:
         # the sequence is built for the test, so the test's side condition comes first
-        limits.check_event_depth(args.l)
+        limits.check_tested_depth(args.l)
         terms = selector.terms(args.kmax)
         collective = Collective.checkpoint_forcing(p, args.l, args.r, terms, mode=args.mode)
     else:

@@ -367,20 +367,16 @@ class CylinderMeasure:
 
     def measure_norm(self, clopen: Clopen) -> PadicAbs:
         """sup |mu(B)|_p over clopen B inside the given set. The strong
-        triangle inequality reduces the sup to single cylinders, and the
-        uniform split makes depths beyond the table redundant."""
+        triangle inequality reduces the sup to single cylinders. Since p
+        != q, a cylinder at or below the table depth has the norm of its
+        table word, and a shorter one's mass is a sum over the table
+        words under it, so the sup is the largest of those words' norms."""
         if clopen.q != self.q:
             raise AlphabetMismatch(f"measure over q={self.q}, clopen over q={clopen.q}")
-        best = PadicAbs.zero(self.prime)
-        stack = list(clopen.words)
-        while stack:
-            w = stack.pop()
-            a = abs_p(self.cylinder_mass(w), self.prime)
-            if a > best:
-                best = a
-            if len(w) < self.depth:
-                stack.extend(w + (d,) for d in range(self.q))
-        return best
+        short = {w for w in clopen.words if len(w) < self.depth}
+        masses = [self.table.get(w[: self.depth], 0) for w in clopen.words if len(w) >= self.depth]
+        masses += [val for v, val in self.table.items() if any(v[:k] in short for k in range(len(v)))]
+        return max((abs_p(m, self.prime) for m in masses), default=PadicAbs.zero(self.prime))
 
     def point_norm(self, prefix) -> PadicAbs:
         """N_mu at a point: inf over cylinders containing it of their

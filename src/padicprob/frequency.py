@@ -335,42 +335,37 @@ def relative_frequency(collective: Collective, labels, n: int) -> Fraction:
     return Fraction(collective.count(labels, n), n)
 
 
-def event_residues(prime, depth: int, center: int, mode: str) -> tuple[int, frozenset[int]]:
-    """The tested checkpoint event as residue classes: a sum S hits it
+def event_residues(prime, depth: int, center: int, mode: str, n: int) -> tuple[int, frozenset[int]]:
+    """The tested event for sums S in [0, n] as residue classes: S hits it
     exactly when S % mod is in residues. Returns (mod, residues).
 
+    mode "ball": S == center mod p**depth;
     mode "sphere": v_p(S - center) == depth, mod p**(depth+1);
     mode "residue": S - center is congruent mod p**depth to one of
-    1..p-1 (at depth 0 that holds for every S). An event of more than
-    MAX_LAW_WIDTH residues raises RangeError.
+    1..p-1 (at depth 0 that holds for every S). A sphere or residue
+    event of more than MAX_LAW_WIDTH residues raises RangeError.
+
+    The depth is cut to the least d with n + |center| + p < p**d. From d
+    on, S - center and S - center - a for 0 < a < p are below p**d in
+    absolute value, so each is divisible by p**depth only when it is 0:
+    every event is the same on [0, n] at depth d as at any greater
+    depth, and p**d is at most p * (n + |center| + p).
+
+    >>> event_residues(3, 10**9, 0, "ball", 40), event_residues(3, 2, -5, "sphere", 40)
+    ((81, frozenset({0})), (27, frozenset({4, 13})))
     """
     p = Prime(prime)
     if depth < 0:
         raise RangeError("depth must be >= 0")
+    small = p ** min(depth, digit_count(n + abs(center) + p, p))
+    if mode == "ball":
+        return small, frozenset((center % small,))
     refuse_over(p - 1, MAX_LAW_WIDTH, f"the tested event lists {p - 1} residues")
-    small = p**depth
     if mode == "sphere":
         return small * p, frozenset((center + u * small) % (small * p) for u in range(1, p))
     if mode == "residue":
         return small, frozenset((center + a) % small for a in range(1, p))
     raise RangeError(f"unknown mode {mode!r}")
-
-
-def event_depth(prime, depth: int, center: int, n: int) -> int:
-    """The depth at which to build the ball around center, or the sphere
-    or residue event of event_residues, for sums S in [0, n]: `depth`
-    itself, but at most the least d with n + |center| + p < p**d.
-
-    From depth d on, S - center and S - center - a for 0 < a < p are
-    below p**d in absolute value, so each is divisible by p**depth only
-    when it is 0: every such event is the same on [0, n] at depth d as at
-    any greater depth, and p**d is at most p * (n + |center| + p).
-
-    >>> event_depth(3, 10**9, 0, 40), event_depth(3, 2, -5, 40)
-    (4, 2)
-    """
-    p = Prime(prime)
-    return min(depth, digit_count(n + abs(center) + p, p))
 
 
 def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
@@ -379,12 +374,11 @@ def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
     exactly. Raises RangeError if some gap is too short to steer the sum.
     """
     terms = list(terms)
-    depth = event_depth(prime, int(depth), int(center), max(terms, default=0))
-    mod, targets = event_residues(prime, depth, int(center), mode)
+    mod, targets = event_residues(prime, int(depth), int(center), mode, max(terms, default=0))
     out = []
     s = 0
     pos = 0
-    for n in terms:
+    for i, n in enumerate(terms):
         if n <= pos:
             raise RangeError("checkpoints must be strictly increasing")
         gap = n - pos
@@ -392,7 +386,7 @@ def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
         delta = next((d for d in deltas if d <= gap), None)
         if delta is None:
             raise RangeError(
-                f"cannot steer sum to a target at checkpoint {n}: gap {gap} < {deltas[0]}"
+                f"cannot steer sum to a target at checkpoint {i + 1} (N={n}): gap {gap} < {deltas[0]}"
             )
         out.append("1" * delta + "0" * (gap - delta))
         s += delta

@@ -37,7 +37,7 @@ from .errors import (
     RangeError,
     refuse_over,
 )
-from .frequency import Collective, SequenceSelector, event_depth, event_residues
+from .frequency import Collective, SequenceSelector, event_residues
 from .padic import (
     PadicAbs,
     PadicApprox,
@@ -259,11 +259,11 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _residue_probability(params: BernoulliParams, n: int, mod: int, residues) -> Fraction:
-    """P(S_n mod `mod` lies in `residues`), from one residue law."""
+    """P(S_n mod `mod` lies in `residues`), residues reduced mod `mod`,
+    from one residue law (which is shorter when the modulus exceeds n + 1)."""
     a, b = params.q.numerator, params.q.denominator
     law = _residue_law(a, b, n, mod)
-    wanted = {r % mod for r in residues}
-    return Fraction(sum(law[r] for r in wanted if r < len(law)), b**n)
+    return Fraction(sum(law[r] for r in residues if r < len(law)), b**n)
 
 
 def ball_probability(params: BernoulliParams, n: int, depth: int, center: int) -> Fraction:
@@ -271,20 +271,15 @@ def ball_probability(params: BernoulliParams, n: int, depth: int, center: int) -
     the residue law mod p**depth. That law comes from powering modulo
     the cyclotomic factors of x**(p**depth) - 1, one at a time, when
     p**(3 depth) <= n, and from one walk over the terms otherwise. The
-    depth is cut to event_depth first, which keeps the ball on [0, n]."""
-    if depth < 0:
-        raise RangeError("depth must be >= 0")
-    p = params.prime
-    return _residue_probability(params, n, p ** event_depth(p, depth, center, n), [center])
+    depth is cut as in event_residues, which keeps the ball on [0, n]."""
+    return _residue_probability(params, n, *event_residues(params.prime, depth, center, "ball", n))
 
 
 def sphere_probability(params: BernoulliParams, n: int, depth: int, center: int) -> Fraction:
     """P(v_p(S_n - center) == depth exactly): the depth-ball minus its
     child ball, i.e. the p - 1 other lifts of center mod p**(depth+1),
     read off one residue law."""
-    p = params.prime
-    mod, residues = event_residues(p, event_depth(p, depth, center, n), center, "sphere")
-    return _residue_probability(params, n, mod, residues)
+    return _residue_probability(params, n, *event_residues(params.prime, depth, center, "sphere", n))
 
 
 def binomial_limit_weights(m: int) -> dict[int, Fraction]:
@@ -686,7 +681,7 @@ class RandomnessResult:
         return table_lines(_CHECKPOINT_COLUMNS, self.rows, fmt, summary)
 
 
-def check_event_depth(depth: int) -> None:
+def check_tested_depth(depth: int) -> None:
     """Side condition of the sphere randomness test (depth >= 1)."""
     if depth < 1:
         raise HypothesisViolation("the tested event needs depth >= 1")
@@ -717,15 +712,14 @@ def sphere_randomness_test(
     DomainError: the test cannot run at this eps.
     """
     p = Prime(prime)
-    check_event_depth(depth)
+    check_tested_depth(depth)
     if not set(collective.alphabet) <= {"0", "1"}:
         raise RangeError("the sum test runs on 0/1 sequences")
     if kmin < 1 or kmax < kmin:
         raise RangeError("need 1 <= kmin <= kmax")
     params = symmetric_params(p)
     all_terms = selector.terms(kmax)
-    largest = max(all_terms, default=0)
-    mod, residues = event_residues(p, event_depth(p, depth, center, largest), center, mode)
+    mod, residues = event_residues(p, depth, center, mode, max(all_terms, default=0))
     if len(all_terms) < kmax:
         raise InsufficientData("selector yields fewer usable terms than kmax")
     rows = []
@@ -781,7 +775,7 @@ def _checkpoint_chain(prime, depth, center, terms, mode, step, start) -> tuple[d
     `hit` says whether that checkpoint's sum lies in the event. The sums
     only matter modulo the event's modulus, so the residues stay few
     whatever the checkpoint sizes; the tags decide the chain's width. The
-    event is built at event_depth for the last checkpoint. A step raises
+    event is cut for the last checkpoint (see event_residues). A step raises
     RangeError before it runs if it could make more than MAX_LAW_WIDTH
     states (at most the states times the increments its gap can add, and
     at most the modulus times the tags it can give), or cost more than
@@ -790,8 +784,7 @@ def _checkpoint_chain(prime, depth, center, terms, mode, step, start) -> tuple[d
     which only adds up the increments that hit.
     """
     terms = list(terms)
-    depth = event_depth(prime, depth, center, max(terms, default=0))
-    mod, residues = event_residues(prime, depth, center, mode)
+    mod, residues = event_residues(prime, depth, center, mode, max(terms, default=0))
     chain: dict = {start: {0: 1}}  # tag -> residue -> numerator
     pos = 0
     for i, n in enumerate(terms):

@@ -236,54 +236,52 @@ def dist_p(x, y, p) -> PadicAbs:
     return abs_p(as_fraction(x) - as_fraction(y), p)
 
 
-class Ball:
+class _Region:
+    """A ball or sphere around a rational center; compares by value, and
+    only with its own kind."""
+
+    __slots__ = ("prime", "center", "radius_exponent")
+
+    def __init__(self, prime, center, radius_exponent: int):
+        self.prime = Prime(prime)
+        self.center = as_fraction(center)
+        self.radius_exponent = _as_int(radius_exponent, "radius exponent")
+
+    def _key(self):
+        return (self.prime, self.center, self.radius_exponent)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(p={self.prime}, center={self.center}, radius_exponent={self.radius_exponent})"
+
+
+class Ball(_Region):
     """Closed-open ball U(center, l) = {x : v_p(x - center) >= l}.
 
     The radius is p**-l; l may be negative (balls larger than Z_p).
     Balls are clopen: membership is an exact valuation comparison.
     """
 
-    __slots__ = ("prime", "center", "radius_exponent")
-
-    def __init__(self, prime, center, radius_exponent: int):
-        self.prime = Prime(prime)
-        self.center = as_fraction(center)
-        self.radius_exponent = _as_int(radius_exponent, "radius exponent")
+    __slots__ = ()
 
     def contains(self, x) -> bool:
         return vp(as_fraction(x) - self.center, self.prime) >= self.radius_exponent
 
-    def __eq__(self, other):
-        if not isinstance(other, Ball):
-            return NotImplemented
-        return (self.prime, self.center, self.radius_exponent) == (
-            other.prime,
-            other.center,
-            other.radius_exponent,
-        )
 
-    def __hash__(self):
-        return hash((self.prime, self.center, self.radius_exponent))
-
-    def __repr__(self):
-        return f"Ball(p={self.prime}, center={self.center}, radius_exponent={self.radius_exponent})"
-
-
-class Sphere:
+class Sphere(_Region):
     """Sphere S(center, l) = {x : v_p(x - center) == l}."""
 
-    __slots__ = ("prime", "center", "radius_exponent")
-
-    def __init__(self, prime, center, radius_exponent: int):
-        self.prime = Prime(prime)
-        self.center = as_fraction(center)
-        self.radius_exponent = _as_int(radius_exponent, "radius exponent")
+    __slots__ = ()
 
     def contains(self, x) -> bool:
         return vp(as_fraction(x) - self.center, self.prime) == self.radius_exponent
-
-    def __repr__(self):
-        return f"Sphere(p={self.prime}, center={self.center}, radius_exponent={self.radius_exponent})"
 
 
 def in_ball(x, ball: Ball) -> bool:

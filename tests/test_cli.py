@@ -221,6 +221,12 @@ class TestTraceCommands:
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {error}"]
 
+    def test_ball_of_a_wide_prime(self, capsys):
+        # a ball lists one residue, so the p - 1 residue limit of the tested event does not apply
+        rc, out, _ = run(capsys, ["thm31", "--prime", "1048583", "--m", "0", "--r", "0", "--l", "0", "--kmax", "1"])
+        assert rc == 0
+        assert out.splitlines()[1] == "1,1048583,1,1,inf"
+
     def test_residue_law_too_many_bits(self, capsys):
         # the law mod p has p entries of up to N_1 = p + 1 bits: about 2 * 10**12 bits in all
         rc, out, err = run(capsys, ["eq5", "--prime", "1000003", "--kmax", "1"])
@@ -454,6 +460,14 @@ class TestRandomness:
         assert lines[2] == "2,10,3,1,165,512,1"
         assert len(lines) == 7
         assert "test: PersistentHit (k_eps=4, first_hit_k=4)" in err
+
+    def test_adversarial_unsteerable(self, capsys):
+        # the event at depth 1000 is cut to mod 3**6 for N_4 = 82; the first gap is 4
+        rc, out, err = run(capsys, ["test", "--adversarial", "--prime", "3", "--l", "1000", "--r", "0",
+                                    "--scheme", "1+p^k", "--eps-exp", "2", "--kmax", "4"])
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "error: cannot steer sum to a target at checkpoint 1 (N=4): gap 4 < 243"
 
     def test_adversarial_json(self, capsys):
         rc, out, _ = run(capsys, ADVERSARIAL + ["--format", "json"])

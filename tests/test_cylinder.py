@@ -54,6 +54,19 @@ def _uniform_norm(clopen, p):
     return PadicAbs.zero(p) if clopen.is_empty else PadicAbs.one(p)
 
 
+def _walk_norm(measure, clopen):
+    """The norm by a walk over every cylinder under the set down to the
+    table depth, each mass summed from the table."""
+    best = PadicAbs.zero(measure.prime)
+    stack = list(clopen.words)
+    while stack:
+        w = stack.pop()
+        best = max(best, abs_p(measure.cylinder_mass(w), measure.prime))
+        if len(w) < measure.depth:
+            stack.extend(w + (d,) for d in range(measure.q))
+    return best
+
+
 #: (q, p) pairs with p != q
 ALPHABET_PRIMES = st.sampled_from([(2, 3), (3, 2), (2, 5), (5, 3), (3, 7)])
 
@@ -408,6 +421,19 @@ class TestCylinderMeasure:
                 if a > best:
                     best = a
             assert m.measure_norm(region) == best
+
+    # sparse tables with zero and missing entries, and clopen words both
+    # shorter and longer than the table depth
+    @settings(max_examples=150)
+    @given(ALPHABET_PRIMES, st.integers(0, 3), st.data())
+    def test_measure_norm_against_the_cylinder_walk(self, qp, depth, data):
+        q, p = qp
+        words = list(itertools.product(range(q), repeat=depth))
+        scaled = st.builds(lambda u, k: u * Fraction(p) ** k, SIGNED_RATIONALS, st.integers(-2, 2))
+        table = data.draw(st.dictionaries(st.sampled_from(words), st.just(Fraction(0)) | scaled))
+        m = CylinderMeasure(q, p, depth, table)
+        region = data.draw(clopens(q, depth=depth + 2))
+        assert m.measure_norm(region) == _walk_norm(m, region)
 
     def test_point_norm(self):
         vals = {

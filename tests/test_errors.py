@@ -152,9 +152,11 @@ class TestBoundaries:
 
     def test_event_residues(self):
         # 1048573 is the largest prime with p - 1 <= 2**20, 1048583 the next one
-        assert len(event_residues(1048573, 1, 0, "residue")[1]) == 1048572
+        assert len(event_residues(1048573, 1, 0, "residue", 1)[1]) == 1048572
+        # a ball lists one residue whatever the prime
+        assert event_residues(1048583, 1, 0, "ball", 1) == (1048583, frozenset({0}))
         with pytest.raises(errors.RangeError) as info:
-            event_residues(1048583, 1, 0, "residue")
+            event_residues(1048583, 1, 0, "residue", 1)
         assert str(info.value) == "the tested event lists 1048582 residues, more than the limit of 1048576"
 
     def test_chain_states(self):

@@ -26,7 +26,6 @@ from padicprob.frequency import (
     Collective,
     SequenceSelector,
     checkpoint_forcing_bits,
-    event_depth,
     event_residues,
 )
 from padicprob.limits import (
@@ -981,11 +980,16 @@ def _hit_closure(p, depth, center, mode):
     def residue_hit(s):
         return 0 < (s - center) % small < p
 
-    return sphere_hit if mode == "sphere" else residue_hit
+    def ball_hit(s):
+        return (s - center) % small == 0
+
+    return {"ball": ball_hit, "sphere": sphere_hit, "residue": residue_hit}[mode]
 
 
 def _forcing_targets(p, depth, center, mode):
     """The modulus and sorted targets to steer the forcing sequence to, per mode."""
+    if mode == "ball":
+        return p**depth, [center % p**depth]
     if mode == "sphere":
         work_mod = p ** (depth + 1)
         return work_mod, sorted((center + u * p**depth) % work_mod for u in range(1, p))
@@ -997,18 +1001,19 @@ EVENTS = (
     st.sampled_from([2, 3, 5, 7]),
     st.integers(0, 3),
     st.integers(-60, 60),
-    st.sampled_from(["sphere", "residue"]),
+    st.sampled_from(["ball", "sphere", "residue"]),
 )
 
 
 class TestEventResidues:
     # at depth 0 every residue mod 1 is 0: the residue predicate never
     # holds there, while the residue classes hold for every sum; the
-    # tested event needs depth >= 1
+    # tested event needs depth >= 1. Sums up to n = p**depth leave the
+    # depth uncut
     @given(*EVENTS)
     def test_against_hit_closures_and_forcing_targets(self, p, depth, center, mode):
-        assume(depth >= 1 or mode == "sphere")
-        mod, residues = event_residues(p, depth, center, mode)
+        assume(depth >= 1 or mode != "residue")
+        mod, residues = event_residues(p, depth, center, mode, p**depth)
         hit = _hit_closure(p, depth, center, mode)
         for s in range(-mod, 2 * mod):
             assert (s % mod in residues) == hit(s)
@@ -1017,16 +1022,19 @@ class TestEventResidues:
     @settings(max_examples=60)
     @given(st.sampled_from([3, 5, 7]), *EVENTS[1:], st.integers(0, 40))
     def test_probability_is_the_mass_of_the_hits(self, p, depth, center, mode, n):
-        assume(depth >= 1 or mode == "sphere")
-        mod, residues = event_residues(p, depth, center, mode)
+        assume(depth >= 1 or mode != "residue")
+        mod, residues = event_residues(p, depth, center, mode, n)
         hit = _hit_closure(p, depth, center, mode)
         expected = Fraction(sum(comb(n, j) for j in range(n + 1) if hit(j)), 2**n)
         assert _residue_probability(symmetric_params(p), n, mod, residues) == expected
+        if mode == "ball":
+            assert ball_probability(symmetric_params(p), n, depth, center) == expected
         if mode == "sphere":
             assert sphere_probability(symmetric_params(p), n, depth, center) == expected
 
-    # past event_depth the ball, the sphere and the residue event are the
-    # same on every sum in [0, n], so the clamped depth gives the same law
+    # past the cut depth d, the least with n + |center| + p < p**d, the
+    # ball, the sphere and the residue event are the same on every sum in
+    # [0, n], so the cut modulus gives the same hits as the uncut one
     @settings(max_examples=200)
     @given(
         st.sampled_from([2, 3, 5, 7]),
@@ -1035,31 +1043,29 @@ class TestEventResidues:
         st.sampled_from(["ball", "sphere", "residue"]),
         st.integers(-3, 3),
     )
-    def test_event_depth_keeps_every_sum(self, p, n, center, mode, offset):
-        d = event_depth(p, 10**9, center, n)
-        assert p ** (d - 1) <= n + abs(center) + p < p**d
+    def test_depth_cut_keeps_every_sum(self, p, n, center, mode, offset):
+        sphere = mode == "sphere"
+        d = next(k for k in range(1, 10) if n + abs(center) + p < p**k)
+        assert event_residues(p, 10**9, center, mode, n)[0] == p ** (d + sphere)
         depth = max(d + offset, 0)
-        clamped = event_depth(p, depth, center, n)
-        assert clamped == min(depth, d)
-
-        def hits(k):
-            if mode == "ball":
-                return [(s - center) % p**k == 0 for s in range(n + 1)]
-            mod, residues = event_residues(p, k, center, mode)
-            return [s % mod in residues for s in range(n + 1)]
-
-        assert hits(clamped) == hits(depth)
+        mod, residues = event_residues(p, depth, center, mode, n)
+        assert mod == p ** (min(depth, d) + sphere)
+        full_mod, full = event_residues(p, depth, center, mode, p**depth)
+        assert full_mod == p ** (depth + sphere)
+        hits = [s % full_mod in full for s in range(n + 1)]
+        assert [s % mod in residues for s in range(n + 1)] == hits
         if mode == "ball" and p != 2:  # the symmetric law needs 2 to be a p-adic unit
-            expected = Fraction(sum(comb(n, s) for s, hit in enumerate(hits(depth)) if hit), 2**n)
+            expected = Fraction(sum(comb(n, s) for s, hit in enumerate(hits) if hit), 2**n)
             assert ball_probability(symmetric_params(p), n, depth, center) == expected
 
     def test_depth_zero_and_argument_checks(self):
-        assert event_residues(3, 0, 1, "sphere") == (3, frozenset({0, 2}))
-        assert event_residues(3, 0, 1, "residue") == (1, frozenset({0}))
+        assert event_residues(3, 0, 1, "ball", 5) == (1, frozenset({0}))
+        assert event_residues(3, 0, 1, "sphere", 5) == (3, frozenset({0, 2}))
+        assert event_residues(3, 0, 1, "residue", 5) == (1, frozenset({0}))
         with pytest.raises(ValueError):
-            event_residues(3, -1, 0, "sphere")
+            event_residues(3, -1, 0, "sphere", 5)
         with pytest.raises(ValueError):
-            event_residues(3, 1, 0, "digits")
+            event_residues(3, 1, 0, "digits", 5)
 
 
 class TestCheckpointPatterns:
@@ -1160,7 +1166,7 @@ class TestCheckpointChain:
         st.data(),
     )
     def test_against_all_strings(self, p, depth, center, mode, terms, data):
-        assume(depth >= 1 or mode == "sphere")
+        assume(depth >= 1 or mode != "residue")
         from_index = data.draw(st.integers(0, len(terms)))
         expected = _enumerated_patterns(_hit_closure(p, depth, center, mode), terms)
         assert checkpoint_pattern_distribution(p, depth, center, terms, mode) == expected
@@ -1170,7 +1176,7 @@ class TestCheckpointChain:
     def test_many_checkpoints(self):
         terms = [9 * k for k in range(1, 41)]
         # P(no hit) by a walk over single bits that drops the mass of each hit
-        mod, residues = event_residues(3, 1, 0, "sphere")
+        mod, residues = event_residues(3, 1, 0, "sphere", terms[-1])
         miss = [1] + [0] * (mod - 1)
         for t in range(1, terms[-1] + 1):
             miss = [miss[r] + miss[r - 1] for r in range(mod)]

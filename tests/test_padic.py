@@ -180,6 +180,14 @@ class TestBallsAndSpheres:
         with pytest.raises(RangeError, match="radius exponent must be an int"):
             cls(3, 0, radius)
 
+    @pytest.mark.parametrize("cls", [Ball, Sphere])
+    def test_compares_by_value(self, cls):
+        assert cls(3, 0, 1) == cls(3, Fraction(0), 1)
+        assert len({cls(3, 0, 1), cls(3, 0, 1)}) == 1
+        assert cls(3, 0, 1) != cls(3, 0, 2) and cls(3, 0, 1) != cls(5, 0, 1)
+        other = Sphere if cls is Ball else Ball
+        assert cls(3, 0, 1) != other(3, 0, 1)
+
     def test_sphere_is_ball_difference(self):
         p, c, l = 5, 2, 1
         for x in range(-30, 30):
