@@ -217,23 +217,35 @@ class _Stored:
         self._counts = {}  # label set -> (n, occurrences among the first n, translate table)
 
     def _fill(self, n: int) -> None:
-        """Hold at least n symbols, or raise InsufficientData (InvalidLabel on a stray)."""
+        """Hold at least n symbols, or raise InsufficientData (InvalidLabel on
+        a stray among the first n).
+
+        A read runs on until the held string has doubled, so rising requests
+        copy it O(log n) times in all. A stray met beyond n goes back to the
+        generator, to be raised by the first request that reaches it."""
         need = n - len(self.buf)
         if need > 0 and self.gen is not None:
             refuse_over(n, MAX_SYMBOLS, f"{self.description} asked for {n} symbols")
             drop = str.maketrans("", "", "".join(self.alphabet))
-            pieces, bad = [self.buf], set()
-            while need > 0 and self.gen is not None:
-                step = min(need, _READ_PIECE)
+            pieces, bad = [self.buf], ""
+            want = min(max(n, 2 * len(self.buf)), MAX_SYMBOLS) - len(self.buf)
+            while want > 0 and self.gen is not None:
+                step = min(want, _READ_PIECE)
                 piece = "".join(itertools.islice(self.gen, step))
-                bad = set(piece.translate(drop))
-                if len(piece) < step or bad:
-                    self.gen = None  # a source that ran short or strayed yields no more
-                if not bad:
-                    pieces.append(piece)
-                    need -= len(piece)
+                if len(piece) < step:
+                    self.gen = None  # a source that ran short yields no more
+                if stray := piece.translate(drop):
+                    cut = min(map(piece.index, set(stray)))
+                    pieces.append(piece[:cut])
+                    if cut < need:  # a source that strayed yields no more
+                        bad, self.gen = piece[cut:need].translate(drop), None
+                    else:
+                        self.gen = itertools.chain(piece[cut:], self.gen or ())
+                    break
+                pieces.append(piece)
+                need, want = need - step, want - step
             self.buf = "".join(pieces)
-            _refuse(bad, self.alphabet)
+            _refuse(set(bad), self.alphabet)
         if len(self.buf) < n:
             raise InsufficientData(f"{self.description} holds {len(self.buf)} symbols, {n} requested")
 

@@ -15,16 +15,35 @@ the null, so observing it rejects the null at that level.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MAX_POWERSET_OUTCOMES, NoRingStructure, NotInvertible, RangeError, RegionNotSignificant, refuse_over
-from .padic import Prime, abs_p, as_fraction
+from .padic import Prime, _int_vp, abs_p, as_fraction
 
 PRACTICALLY_IMPOSSIBLE = "PracticallyImpossible"
 SIGNIFICANT = "Significant"
+
+
+def _numerators(xs) -> tuple[list[int], int]:
+    """Integer numerators of Fractions over their least common denominator;
+    xs is read twice, so it is a sequence or a view, not an iterator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+class _Ints(tuple):
+    """A product's integers, one per component, added and multiplied componentwise."""
+
+    def __add__(self, other):
+        return _Ints(map(operator.add, self, other))
+
+    def __mul__(self, other):
+        return _Ints(map(operator.mul, self, other))
 
 
 class GroupContext:
@@ -58,6 +77,11 @@ class GroupContext:
     def sub(self, x, y):
         return self.add(x, self.negate(y))
 
+    def _ints(self, xs):
+        """The integer form (numerators, denominator) of the elements xs, on
+        which + and * are the context's; None: GDistribution's generic route."""
+        return None
+
     # -- optional ring structure -----------------------------------------
 
     def _no_ring(self):
@@ -84,6 +108,8 @@ class _RationalContext(GroupContext):
     """(Q, +) on exact Fractions, a ring; subclasses fix tag and rho."""
 
     is_ring = True
+    _ints = staticmethod(_numerators)
+    _fraction = staticmethod(Fraction)  # the element n / den
 
     def coerce(self, x):
         return as_fraction(x)
@@ -122,6 +148,10 @@ class RationalRealContext(_RationalContext):
     def rho(self, x) -> Fraction:
         return abs(as_fraction(x))
 
+    def _rho_ints(self, nums, den) -> tuple[list[int], int]:
+        """rho(n / den) for each n, as integers over one denominator."""
+        return list(map(abs, nums)), den
+
 
 class RationalPadicContext(_RationalContext):
     """(Q, +) with rho(0, x) = |x|_p."""
@@ -133,11 +163,27 @@ class RationalPadicContext(_RationalContext):
     def rho(self, x) -> Fraction:
         return abs_p(x, self.prime).as_fraction()
 
+    def _rho_ints(self, nums, den) -> tuple[list[int], int]:
+        """rho(n / den) = p**(v_p(den) - v_p(n)) for each n, over p**(top - v_p(den))."""
+        p, vd = self.prime, _int_vp(den, self.prime)
+        top = max([_int_vp(n, p) for n in nums if n] + [vd])
+        return [p ** (top - _int_vp(n, p)) if n else 0 for n in nums], p ** (top - vd)
+
 
 class ProductContext(GroupContext):
     """Finite product of contexts; elements are tuples, the metric is
     the max of the component metrics. A ring exactly when every
-    component is one (componentwise multiplication)."""
+    component is one (componentwise multiplication).
+
+    Examples:
+        >>> ctx = ProductContext(RationalRealContext(), RationalPadicContext(3))
+        >>> d = GDistribution(ctx, {"a": (Fraction(1, 2), 9), "b": (Fraction(1, 4), Fraction(1, 3))})
+        >>> [str(x) for x in d.probability({"a", "b"})]
+        ['3/4', '28/3']
+        >>> report = unit_axiom_check(d, powerset_field(d.outcomes))
+        >>> report.holds, str(report.sup), sorted(report.witness)
+        (True, '3', ['b'])
+    """
 
     def __init__(self, *components: GroupContext):
         if not components:
@@ -188,12 +234,21 @@ class ProductContext(GroupContext):
             self._no_ring()
         return tuple(c.inverse(a) for c, a in zip(self.components, x))
 
+    def _ints(self, xs):
+        """The components' integer forms, where each has one; an _Ints per element."""
+        cols = [c._ints(col) for c, col in zip(self.components, zip(*xs))]
+        if not cols or None in cols:
+            return None
+        return list(map(_Ints, zip(*(nums for nums, _ in cols)))), _Ints(den for _, den in cols)
 
-def _numerators(xs) -> tuple[list[int], int]:
-    """Integer numerators of Fractions over their least common denominator;
-    xs is read twice, so it is a sequence or a view, not an iterator."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    def _fraction(self, n, den):
+        return tuple(c._fraction(a, d) for c, a, d in zip(self.components, n, den))
+
+    def _rho_ints(self, nums, den) -> tuple[list[int], int]:
+        """The max over the components of their _rho_ints, on one denominator."""
+        cols = [c._rho_ints(ns, q) for c, ns, q in zip(self.components, zip(*nums), den)]
+        q = math.lcm(*(q for _, q in cols))
+        return [max(rs) for rs in zip(*([r * (q // qc) for r in rs] for rs, qc in cols))], q
 
 
 def context_from_tag(tag: str) -> GroupContext:
@@ -224,14 +279,29 @@ class GDistribution:
         if not items:
             raise RangeError("distribution needs at least one outcome")
         self.outcomes = tuple(om for om, _ in items)
-        self._w = {om: context.coerce(w) for om, w in items}
-        if len(self._w) != len(items):
+        self._weights = {om: context.coerce(w) for om, w in items}
+        if len(self._weights) != len(items):
             raise RangeError("repeated outcome")
-        self._scaled = None  # (numerator per outcome, denominator), made on first use
+        form = context._ints(self._weights.values())
+        self._form = form and (dict(zip(self._weights, form[0])), form[1])  # see GroupContext._ints
         if range_check is not None:
             bad = [om for om in self.outcomes if not range_check(self._w[om])]
             if bad:
                 raise RangeError(f"weights at {bad} outside the declared range set")
+
+    @classmethod
+    def _from_ints(cls, context: GroupContext, form) -> "GDistribution":
+        """The distribution of integer form ({outcome: n}, den), weights built on first read."""
+        d = cls.__new__(cls)
+        d.context, d.outcomes, d._form, d._weights = context, tuple(form[0]), form, None
+        return d
+
+    @property
+    def _w(self) -> dict:
+        if self._weights is None:
+            nums, den = self._form
+            self._weights = {om: self.context._fraction(n, den) for om, n in nums.items()}
+        return self._weights
 
     def weight(self, outcome):
         try:
@@ -240,19 +310,14 @@ class GDistribution:
             raise RangeError(f"outcome {outcome!r} outside the experiment") from None
 
     def probability(self, event):
-        """Group measure of a subset of the outcomes; on a rational
-        context, a sum of integer numerators over one denominator."""
+        """Group measure of a subset of the outcomes; on a rational context
+        or a product of them, a sum of integer forms (see GroupContext._ints)."""
         ctx = self.context
-        if isinstance(ctx, _RationalContext):
-            if self._scaled is None:
-                nums, den = _numerators(self._w.values())
-                self._scaled = dict(zip(self._w, nums)), den
-            nums, den = self._scaled
-            return Fraction(sum(self._pick(nums, event)), den)
-        total = ctx.neutral
-        for w in self._pick(self._w, event):
-            total = ctx.add(total, w)
-        return total
+        if self._form:
+            nums, den = self._form
+            picked = self._pick(nums, event)
+            return ctx._fraction(sum(picked[1:], picked[0]), den) if picked else ctx.neutral
+        return functools.reduce(ctx.add, self._pick(self._w, event), ctx.neutral)
 
     @staticmethod
     def _pick(weights: dict, event) -> list:
@@ -340,18 +405,16 @@ def additivity_check(d: GDistribution, family) -> AdditivityReport:
     check exists to pin the additivity contract down, not to surprise.
     Each distinct member's measure is summed once.
 
-    Events are compared as bitmasks over the outcomes, and on a rational
-    context measures as integer numerators over one common denominator."""
+    Events are compared as bitmasks over the outcomes, and measures in
+    their integer form where the context has one, so on a product a pair
+    passes when it passes in every component."""
     ctx = d.context
     sets = [frozenset(a) for a in family]
     table = {a: d.probability(a) for a in dict.fromkeys(sets)}
     bit = {om: 1 << i for i, om in enumerate(d.outcomes)}
     mask = {a: sum(map(bit.__getitem__, a)) for a in table}
-    if isinstance(ctx, _RationalContext):
-        values, _ = _numerators(table.values())
-        add = int.__add__
-    else:
-        values, add = table.values(), ctx.add
+    form = ctx._ints(table.values())
+    values, add = (form[0], operator.add) if form else (table.values(), ctx.add)
     value = dict(zip(mask.values(), values))
     member = {m: a for a, m in mask.items()}
     masks = [mask[a] for a in sets]
@@ -389,12 +452,15 @@ def unit_axiom_check(d: GDistribution, family) -> UnitAxiomReport:
     and the report then carries the witnessing event.
     """
     ctx = d.context
-    expected = ctx.rho(d.total)
-    rho = {a: ctx.rho(d.probability(a)) for a in dict.fromkeys(map(frozenset, family))}
-    if not rho:
+    events = list(dict.fromkeys(map(frozenset, family)))
+    values = [d.total] + [d.probability(a) for a in events]
+    if not events:
         raise RangeError("empty family")
-    witness = max(rho, key=rho.__getitem__)  # the first maximal event
-    return UnitAxiomReport(rho[witness] == expected, rho[witness], expected, witness)
+    # in the integer form rho is compared as integers over one denominator
+    form = ctx._ints(values)
+    rho, den = ctx._rho_ints(*form) if form else ([ctx.rho(x) for x in values], 1)
+    i = max(range(1, len(rho)), key=rho.__getitem__)  # the first maximal event
+    return UnitAxiomReport(rho[i] == rho[0], Fraction(rho[i], den), Fraction(rho[0], den), events[i - 1])
 
 
 def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
@@ -402,8 +468,10 @@ def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
     outcomes are themselves elements of a ring context. Weight at s is
     sum over x1 + x2 = s of w1(x1) w2(x2); totals multiply.
 
-    On a rational context the sums run on integer numerators: outcomes
-    over their common denominator, each operand's weights over its own.
+    Where the context has an integer form (see GroupContext._ints) the
+    sums run on it: outcomes over their common denominators, each
+    operand's weights over its own. The result keeps its weights in that
+    form and builds their Fractions on first read.
 
     Examples:
         >>> bernoulli = GDistribution(RationalRealContext(), {0: Fraction(1, 3), 1: Fraction(2, 3)})
@@ -416,10 +484,22 @@ def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
         raise RangeError(f"mismatched contexts {ctx.tag} vs {m2.context.tag}")
     if not ctx.is_ring:
         raise NoRingStructure(f"convolution needs ring weights; context {ctx.tag}")
-    if isinstance(ctx, _RationalContext):
-        return _convolve_numerators(ctx, m1, m2)
+    if m1._form and m2._form:
+        (w1, e1), (w2, e2) = m1._form, m2._form
+        n1 = len(m1.outcomes)
+        ks, den = ctx._ints([ctx.coerce(x) for x in m1.outcomes + m2.outcomes])
+        right = list(zip(ks[n1:], w2.values()))
+        acc: dict = {}
+        for k1, v1 in zip(ks[:n1], w1.values()):
+            for k2, v2 in right:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += v1 * v2
+                else:
+                    acc[k] = v1 * v2
+        return GDistribution._from_ints(ctx, ({ctx._fraction(k, den): acc[k] for k in sorted(acc)}, e1 * e2))
     right = [(ctx.coerce(x2), m2.weight(x2)) for x2 in m2.outcomes]
-    acc: dict = {}
+    acc = {}
     for x1 in m1.outcomes:
         c1 = ctx.coerce(x1)
         w1 = m1.weight(x1)
@@ -428,26 +508,6 @@ def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:
             w = ctx.mul(w1, w2)
             acc[s] = ctx.add(acc[s], w) if s in acc else w
     return GDistribution(ctx, [(s, acc[s]) for s in sorted(acc)])
-
-
-def _convolve_numerators(ctx, m1: GDistribution, m2: GDistribution) -> GDistribution:
-    """convolve on a rational context: outcome k/L gets weight acc/(E1 E2),
-    with k, acc integers and one Fraction built per result number."""
-    n1 = len(m1.outcomes)
-    ks, den = _numerators([ctx.coerce(x) for x in m1.outcomes + m2.outcomes])
-    w1, e1 = _numerators(m1._w.values())  # in the order of the outcomes
-    w2, e2 = _numerators(m2._w.values())
-    right = list(zip(ks[n1:], w2))
-    acc: dict = {}
-    for k1, v1 in zip(ks[:n1], w1):
-        for k2, v2 in right:
-            k = k1 + k2
-            if k in acc:
-                acc[k] += v1 * v2
-            else:
-                acc[k] = v1 * v2
-    e = e1 * e2
-    return GDistribution(ctx, [(Fraction(k, den), Fraction(acc[k], e)) for k in sorted(acc)])
 
 
 def dirac(context: GroupContext, point) -> GDistribution:

@@ -453,8 +453,12 @@ class TestCylinderMeasure:
     def test_point_norm_matches_inf_over_cuts(self, qp, depth, data):
         q, p = qp
         words = [decode_jq(n, q, depth) for n in range(q**depth)]
-        masses = st.fractions(min_value=-50, max_value=50, max_denominator=50)
-        m = CylinderMeasure(q, p, depth, {w: data.draw(masses) for w in words})
+        # masses in [-50, 50] as one list of numerators over one denominator,
+        # far cheaper to draw than a Fraction per word; zero, negative and
+        # p-divisible numerators all occur
+        den = data.draw(st.integers(1, 50))
+        nums = data.draw(st.lists(st.integers(-50 * den, 50 * den), min_size=len(words), max_size=len(words)))
+        m = CylinderMeasure(q, p, depth, {w: Fraction(n, den) for w, n in zip(words, nums)})
         prefix = data.draw(st.lists(st.integers(0, q - 1), min_size=depth, max_size=depth + 3))
         # the definition: the least norm over every cylinder containing the point
         cuts = [m.measure_norm(Clopen(q, (prefix[:cut],))) for cut in range(len(prefix) + 1)]

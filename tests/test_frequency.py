@@ -162,6 +162,33 @@ class TestCollective:
         assert str(exc.value) == "four holds 4 symbols, 6 requested"
         assert c.prefix(4) == "0110"
 
+    @pytest.mark.parametrize("ends", ["stray", "short"])
+    def test_generator_read_ahead_raises_when_reached(self, ends):
+        # reads run ahead of the requests; a stray at position k still raises
+        # InvalidLabel first at the first request for k or more symbols, and
+        # a short source raises InsufficientData only where it ends
+        k = 3000
+        tail = "x" + "1" * 5000 if ends == "stray" else ""
+        c = Collective("01", generator=iter("10" * (k // 2) + tail), description="gen")
+        for n in (1, 1000, 1700, 2500, k - 1, k, k):
+            assert c.count("1", n) == (n + 1) // 2
+        assert c.prefix(k) == "10" * (k // 2)
+        error = InvalidLabel if ends == "stray" else InsufficientData
+        with pytest.raises(error) as exc:
+            c.count("1", k + 2)
+        if ends == "stray":
+            assert str(exc.value) == "symbols ['x'] outside alphabet ('0', '1')"
+        with pytest.raises(InsufficientData, match="^gen holds 3000 symbols, 3001 requested$"):
+            c.count("1", k + 1)
+        assert c.count("1", 10) == 5
+
+    def test_generator_read_ahead_keeps_the_stray_for_another_alphabet(self):
+        c = Collective("01", generator=iter("0" * 1000 + "2" + "1" * 50))
+        assert c.count("1", 600) == 0
+        assert c.count("1", 900) == 0  # reads on past the stray at 1001
+        wider = c.with_alphabet("012")
+        assert wider.prefix(1051) == "0" * 1000 + "2" + "1" * 50
+
 
 def _reference_symbols(kind, word, seed, size):
     """The first `size` symbols of a source, computed without Collective."""

@@ -2,6 +2,7 @@
 critical-region tests."""
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -360,19 +361,21 @@ AXIOM_CONTEXTS = {
 }
 
 
+def families(field):
+    # random sub-families repeat sets and are seldom closed under union
+    return st.one_of(
+        st.just(field),
+        st.lists(st.sampled_from(field), max_size=24),
+        st.lists(st.sampled_from(field), min_size=1, max_size=6).map(lambda f: f + f[::-1]),
+    )
+
+
 @st.composite
 def axiom_cases(draw):
     ctx, weight = AXIOM_CONTEXTS[draw(st.sampled_from(sorted(AXIOM_CONTEXTS)))]
     n = draw(st.integers(1, 6))
     d = Counting(ctx, [(f"o{i}", draw(weight)) for i in range(n)])
-    field = powerset_field(d.outcomes)
-    # random sub-families repeat sets and are seldom closed under union
-    family = draw(st.one_of(
-        st.just(field),
-        st.lists(st.sampled_from(field), max_size=24),
-        st.lists(st.sampled_from(field), min_size=1, max_size=6).map(lambda f: f + f[::-1]),
-    ))
-    return d, family
+    return d, draw(families(powerset_field(d.outcomes)))
 
 
 class TestAxiomChecksAgainstPairs:
@@ -409,14 +412,15 @@ class TestAxiomChecksAgainstPairs:
 
 
 class FractionRing(GroupContext):
-    """Q as a ring on plain Fraction operations. It subclasses GroupContext
-    directly, so convolve and probability take their generic route: the
-    oracle for the integer-numerator route of the rational contexts."""
+    """Q as a ring on plain Fraction operations, with rho |x|, or |x|_p
+    given a prime. It subclasses GroupContext directly, so every function
+    takes its generic route: the oracle for the integer route of the
+    rational contexts and their products."""
 
     is_ring = True
 
-    def __init__(self, tag):
-        self.tag = tag
+    def __init__(self, tag, prime=None):
+        self.tag, self.prime = tag, prime
 
     def coerce(self, x):
         return as_fraction(x)
@@ -432,7 +436,14 @@ class FractionRing(GroupContext):
         return Fraction(0)
 
     def rho(self, x) -> Fraction:
-        return abs(x)
+        if self.prime is None or x == 0:
+            return abs(x)
+        v = 0  # the p-adic valuation, counted one factor at a time
+        while x.numerator % self.prime == 0:
+            x, v = x / self.prime, v + 1
+        while x.denominator % self.prime == 0:
+            x, v = x * self.prime, v - 1
+        return Fraction(self.prime) ** -v
 
     def mul(self, x, y):
         return x * y
@@ -441,19 +452,144 @@ class FractionRing(GroupContext):
     def one(self):
         return Fraction(1)
 
+    def is_invertible(self, x) -> bool:
+        return x != 0
+
+    def inverse(self, x):
+        return 1 / x
+
+
+def contexts(which):
+    """A context with an integer route and its generic-route oracle."""
+    if which == "product":
+        return ProductContext(REAL, PADIC3), ProductContext(FractionRing("real"), FractionRing("padic:3", 3))
+    ctx = REAL if which == "real" else RationalPadicContext(which)
+    return ctx, FractionRing(ctx.tag, None if which == "real" else which)
+
+
+def typed(x):
+    """x with the type of every value beside it, through tuples and reports."""
+    if isinstance(x, (AdditivityReport, UnitAxiomReport)):
+        x = astuple(x)
+    return type(x), tuple(map(typed, x)) if isinstance(x, tuple) else x
+
+
+def read(f, d):
+    """typed(f(d)), or the type of what f(d) raises. (to_json raises
+    TypeError on Fraction outcomes, which JSON cannot hold.)"""
+    try:
+        return typed(f(d))
+    except (RangeError, NotInvertible, TypeError) as exc:
+        return type(exc)
+
+
+class Lopsided(GDistribution):
+    """Adds 1 to one component of the measure of every two-outcome event,
+    so that, as with Skewed, additivity fails, here in that component alone."""
+
+    skew = 0
+
+    def probability(self, event):
+        x = super().probability(event)
+        if len(set(event)) != 2:
+            return x
+        return tuple(v + (i == self.skew) for i, v in enumerate(x))
+
+
+@st.composite
+def product_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx, oracle = ProductContext(REAL, RationalPadicContext(p)), ProductContext(
+        FractionRing("real"), FractionRing(f"padic:{p}", p)
+    )
+    kind = draw(st.sampled_from([GDistribution, Lopsided]))
+    weights = [(f"o{i}", w) for i, w in enumerate(draw(st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=5)))]
+    got, want = kind(ctx, weights), kind(oracle, weights)
+    got.skew = want.skew = draw(st.integers(0, 1))
+    return got, want, draw(families(powerset_field(got.outcomes)))
+
+
+class TestProductIntegerRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(product_cases())
+    def test_same_as_generic_route(self, case):
+        got, want, family = case
+        assert read(lambda d: d.total, got) == read(lambda d: d.total, want)
+        for a in family:
+            assert read(lambda d: d.probability(a), got) == read(lambda d: d.probability(a), want)
+        assert typed(additivity_check(got, family)) == typed(additivity_check(want, family))
+        assert read(lambda d: unit_axiom_check(d, family), got) == read(lambda d: unit_axiom_check(d, family), want)
+        for a, b in zip(family[:8], family[::-1]):
+            assert read(lambda d: conditional(d, a, b), got) == read(lambda d: conditional(d, a, b), want)
+
+    def test_nested_product(self):
+        # a product of products has an integer form too, component by component
+        ctx = ProductContext(ProductContext(REAL, PADIC3), RationalPadicContext(2))
+        oracle = ProductContext(
+            ProductContext(FractionRing("real"), FractionRing("padic:3", 3)), FractionRing("padic:2", 2)
+        )
+        rng = random.Random(5)
+
+        def element():
+            x, y, z = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
+            return (x, y), z
+
+        laws = [[(element(), element()) for _ in range(n)] for n in (4, 3)]  # (outcome, weight) pairs
+        got = [GDistribution(ctx, law) for law in laws]
+        want = [GDistribution(oracle, law) for law in laws]
+        family = powerset_field(got[0].outcomes)
+        assert typed(additivity_check(got[0], family)) == typed(additivity_check(want[0], family))
+        assert typed(unit_axiom_check(got[0], family)) == typed(unit_axiom_check(want[0], family))
+        for a in family:
+            assert typed(got[0].probability(a)) == typed(want[0].probability(a))
+        law, oracle_law = convolve(*got), convolve(*want)
+        assert typed(law.outcomes) == typed(oracle_law.outcomes)
+        assert typed(READS["weight"](law)) == typed(READS["weight"](oracle_law))
+
+    def test_lopsided_failures_in_order(self):
+        d = Lopsided(ProductContext(REAL, PADIC3), {"x": (1, 1), "y": (2, Fraction(1, 3)), "z": (4, 9)})
+        x, y, z, xy, yz = map(frozenset, ["x", "y", "z", "xy", "yz"])
+        report = additivity_check(d, [x, y, z, xy, yz])
+        assert report == additivity_by_pairs(d, [x, y, z, xy, yz])
+        # the two-outcome measures are 1 too large in the first component;
+        # pair by pair in family order, P(A u B) against P(A) + P(B)
+        third = Fraction(1, 3)
+        assert report.failures == (
+            (x, y, (4, 1 + third), (3, 1 + third)),
+            (x, z, (6, 10), (5, 10)),
+            (x, yz, (7, 10 + third), (8, 10 + third)),
+            (y, z, (7, 9 + third), (6, 9 + third)),
+            (z, xy, (7, 10 + third), (8, 10 + third)),
+        )
+
 
 OUTCOME = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
 # few small weights, so that sums at one outcome often cancel to 0
 WEIGHT = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6, 9]))
 
 
-@st.composite
-def laws(draw):
-    """A recipe for an operand: a Dirac point, or outcomes with weights."""
-    if draw(st.integers(0, 4)) == 0:
-        return draw(OUTCOME)
-    outcomes = draw(st.lists(OUTCOME, min_size=1, max_size=6, unique=True))
-    return [(om, draw(WEIGHT)) for om in outcomes]
+def laws(outcome, weight):
+    """Recipes for an operand: a Dirac point, or up to 3 outcomes with weights."""
+    weighted = st.lists(st.tuples(outcome, weight), min_size=1, max_size=3, unique_by=lambda ow: ow[0])
+    return st.one_of(outcome, weighted, weighted)
+
+
+# up to 8 laws of up to 3 outcomes: at most 3**8 outcomes in the result
+CHAINS = st.one_of(
+    st.tuples(st.sampled_from(["real", 2, 3, 5]), st.lists(laws(OUTCOME, WEIGHT), min_size=2, max_size=8)),
+    st.tuples(st.just("product"), st.lists(
+        laws(st.tuples(OUTCOME, OUTCOME), st.tuples(WEIGHT, WEIGHT)), min_size=2, max_size=8
+    )),
+)
+
+
+READS = {
+    "weight": lambda d: tuple(d.weight(s) for s in d.outcomes),
+    "probability": lambda d: tuple(d.probability(e) for e in (d.outcomes, d.outcomes[::2], d.outcomes[1::3], ())),
+    "to_json": GDistribution.to_json,
+    "repr": repr,
+    "total": lambda d: d.total,
+}
 
 
 def build_law(ctx, recipe):
@@ -461,22 +597,20 @@ def build_law(ctx, recipe):
 
 
 class TestConvolveIntegerRoute:
+    # the result of a chain builds its weights on first read: each read, in
+    # any order, gives the generic route's values with their types
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["real", 2, 3, 5]), st.lists(laws(), min_size=2, max_size=4))
-    def test_same_law_as_generic_route(self, which, recipes):
-        ctx = REAL if which == "real" else RationalPadicContext(which)
-        oracle = FractionRing(ctx.tag)
+    @given(CHAINS, st.permutations(sorted(READS)))
+    def test_same_law_as_generic_route(self, chain, order):
+        which, recipes = chain
+        ctx, oracle = contexts(which)
         got, want = build_law(ctx, recipes[0]), build_law(oracle, recipes[0])
         for recipe in recipes[1:]:
             got = convolve(got, build_law(ctx, recipe))
             want = convolve(want, build_law(oracle, recipe))
-        assert got.outcomes == want.outcomes  # the same outcomes in the same order
-        weights = [got.weight(s) for s in got.outcomes]
-        assert weights == [want.weight(s) for s in want.outcomes]
-        assert all(type(x) is Fraction for x in got.outcomes + tuple(weights))
-        for event in (got.outcomes, got.outcomes[::2], got.outcomes[1::3], ()):
-            assert got.probability(event) == want.probability(event)
-            assert type(got.probability(event)) is Fraction
+        assert typed(got.outcomes) == typed(want.outcomes)  # the same outcomes in the same order
+        for name in order:
+            assert read(READS[name], got) == read(READS[name], want)
 
 
 class TestConvolve:
