@@ -87,31 +87,17 @@ class Cylinder:
 
 
 def _trie(words, q):
-    """The canonical trie of a union of cylinders; _FULL marks a whole subtree."""
-    trie: dict | str = {}
+    """The canonical trie of a union of cylinders; _FULL marks a whole subtree.
+
+    An empty word covers the subtree; the other words are grouped by their
+    first digit, each child is built from the tails, and a complete family
+    of _FULL children merges into _FULL on the way up."""
+    tails = {}
     for w in words:
-        trie = _insert(trie, w)
-    return _canon(trie, q)
-
-
-def _insert(node, word):
-    if node is _FULL:
-        return _FULL
-    if not word:
-        return _FULL
-    node[word[0]] = _insert(node.get(word[0], {}), word[1:])
-    return node
-
-
-def _canon(node, q):
-    if node is _FULL:
-        return _FULL
-    out = {}
-    for d, ch in node.items():
-        c = _canon(ch, q)
-        if c == {}:
-            continue
-        out[d] = c
+        if not w:
+            return _FULL
+        tails.setdefault(w[0], []).append(w[1:])
+    out = {d: _trie(ws, q) for d, ws in tails.items()}
     if len(out) == q and all(c is _FULL for c in out.values()):
         return _FULL
     return out
@@ -131,8 +117,8 @@ def _leaves(node, path, out):
 # neither operand, so a result may share subtrees with them. A canonical
 # node has no empty child, and its children are never q copies of _FULL.
 # A child of a meet or a difference is _FULL only where the first
-# operand's child is, so only the join can complete a sibling family and
-# check for it.
+# operand's child is, so of the set operations only the join can complete
+# a sibling family and check for it, as _trie does when it builds one.
 
 
 def _join(a, b, q):

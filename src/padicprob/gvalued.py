@@ -17,23 +17,15 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MAX_POWERSET_OUTCOMES, NoRingStructure, NotInvertible, RangeError, RegionNotSignificant, refuse_over
-from .padic import Prime, _int_vp, abs_p, as_fraction
+from .padic import Prime, _numerators, abs_p, as_fraction
 
 PRACTICALLY_IMPOSSIBLE = "PracticallyImpossible"
 SIGNIFICANT = "Significant"
-
-
-def _numerators(xs) -> tuple[list[int], int]:
-    """Integer numerators of Fractions over their least common denominator;
-    xs is read twice, so it is a sequence or a view, not an iterator."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 class _Ints(tuple):
@@ -148,10 +140,6 @@ class RationalRealContext(_RationalContext):
     def rho(self, x) -> Fraction:
         return abs(as_fraction(x))
 
-    def _rho_ints(self, nums, den) -> tuple[list[int], int]:
-        """rho(n / den) for each n, as integers over one denominator."""
-        return list(map(abs, nums)), den
-
 
 class RationalPadicContext(_RationalContext):
     """(Q, +) with rho(0, x) = |x|_p."""
@@ -162,12 +150,6 @@ class RationalPadicContext(_RationalContext):
 
     def rho(self, x) -> Fraction:
         return abs_p(x, self.prime).as_fraction()
-
-    def _rho_ints(self, nums, den) -> tuple[list[int], int]:
-        """rho(n / den) = p**(v_p(den) - v_p(n)) for each n, over p**(top - v_p(den))."""
-        p, vd = self.prime, _int_vp(den, self.prime)
-        top = max([_int_vp(n, p) for n in nums if n] + [vd])
-        return [p ** (top - _int_vp(n, p)) if n else 0 for n in nums], p ** (top - vd)
 
 
 class ProductContext(GroupContext):
@@ -243,12 +225,6 @@ class ProductContext(GroupContext):
 
     def _fraction(self, n, den):
         return tuple(c._fraction(a, d) for c, a, d in zip(self.components, n, den))
-
-    def _rho_ints(self, nums, den) -> tuple[list[int], int]:
-        """The max over the components of their _rho_ints, on one denominator."""
-        cols = [c._rho_ints(ns, q) for c, ns, q in zip(self.components, zip(*nums), den)]
-        q = math.lcm(*(q for _, q in cols))
-        return [max(rs) for rs in zip(*([r * (q // qc) for r in rs] for rs, qc in cols))], q
 
 
 def context_from_tag(tag: str) -> GroupContext:
@@ -343,6 +319,9 @@ class GDistribution:
     def to_json(self) -> str:
         if isinstance(self.context, ProductContext):
             raise RangeError("JSON form covers rational-weight contexts only")
+        for om in self.outcomes:  # from_json reads scalar outcomes only; a bool is an int
+            if om is not None and not isinstance(om, (str, int, float)):
+                raise RangeError(f"outcome {om!r} is not a JSON scalar")
         return json.dumps(
             {
                 "context": self.context.tag,
@@ -451,16 +430,12 @@ def unit_axiom_check(d: GDistribution, family) -> UnitAxiomReport:
     whole space; signed weights can overshoot (a set can outweigh E),
     and the report then carries the witnessing event.
     """
-    ctx = d.context
     events = list(dict.fromkeys(map(frozenset, family)))
-    values = [d.total] + [d.probability(a) for a in events]
     if not events:
         raise RangeError("empty family")
-    # in the integer form rho is compared as integers over one denominator
-    form = ctx._ints(values)
-    rho, den = ctx._rho_ints(*form) if form else ([ctx.rho(x) for x in values], 1)
+    rho = [d.context.rho(x) for x in [d.total] + [d.probability(a) for a in events]]
     i = max(range(1, len(rho)), key=rho.__getitem__)  # the first maximal event
-    return UnitAxiomReport(rho[i] == rho[0], Fraction(rho[i], den), Fraction(rho[0], den), events[i - 1])
+    return UnitAxiomReport(rho[i] == rho[0], rho[i], rho[0], events[i - 1])
 
 
 def convolve(m1: GDistribution, m2: GDistribution) -> GDistribution:

@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
@@ -42,6 +42,7 @@ from .padic import (
     PadicAbs,
     PadicApprox,
     Prime,
+    _numerators,
     as_fraction,
     binomial_terms,
     digit_count,
@@ -607,8 +608,7 @@ def charfun_to_mahler(phi: FormalSeries, count: int) -> MahlerSeq:
     if count > phi.order:
         raise OrderError(f"asked for {count} coefficients from order {phi.order}")
     scaled = [c * factorial(k) for k, c in enumerate(phi.coeffs[: count + 1])]
-    den = lcm(*(c.denominator for c in scaled))
-    nums = [c.numerator * (den // c.denominator) for c in scaled]
+    nums, den = _numerators(scaled)
     return MahlerSeq(tuple(
         Fraction(sum(map(mul, row, nums)), den * factorial(n))
         for n, row in enumerate(stirling_first_rows(count))

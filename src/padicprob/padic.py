@@ -109,6 +109,13 @@ def as_fraction(x) -> Fraction:
     raise RangeError(f"expected int, Fraction or rational string, got {type(x).__name__}")
 
 
+def _numerators(xs) -> tuple[list[int], int]:
+    """Integer numerators of Fractions over their least common denominator;
+    xs is read twice, so it is a sequence or a view, not an iterator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _as_int(x, what: str) -> int:
     # like as_fraction, refuse what int() would truncate or parse
     if isinstance(x, int) and not isinstance(x, bool):

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import pathlib
+import re
 import time
 
 import pytest
@@ -21,6 +22,7 @@ from padicprob.limits import (
 )
 
 SOURCES = sorted(pathlib.Path(padicprob.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)
     if issubclass(cls, errors.PadicProbError)
@@ -126,6 +128,17 @@ def test_every_limit_is_assigned_once_in_errors():
         if isinstance(target, ast.Name) and target.id in LIMITS
     ]
     assert sorted(assigned) == sorted(f"errors.py:{name}" for name in LIMITS)
+
+
+def test_readme_limits_table_matches_errors():
+    # one `errors.MAX_...` row per constant, none for a name errors lacks,
+    # and the value column (2^20, 16, ...) equal to the constant
+    rows = re.findall(r"^\| `errors\.(MAX_\w+)` \| ([^|]*) \|", README.read_text(), re.M)
+    constants = {name: value for name, value in vars(errors).items() if name.startswith("MAX_")}
+    assert sorted(name for name, _ in rows) == sorted(constants)
+    for name, text in rows:
+        base, _, exponent = text.partition("^")
+        assert int(base) ** int(exponent or 1) == constants[name], name
 
 
 def test_refuse_over_at_and_past_the_limit():

@@ -189,6 +189,29 @@ class TestCollective:
         wider = c.with_alphabet("012")
         assert wider.prefix(1051) == "0" * 1000 + "2" + "1" * 50
 
+    def test_generator_symbols_checked_at_construction(self):
+        with pytest.raises(InvalidLabel, match=r"^symbols \['x'\] outside alphabet \('0', '1'\)$"):
+            Collective("01", symbols="0x", generator=iter("01"))
+
+    def test_held_symbols_checked_against_a_new_alphabet(self):
+        c = Collective("012", generator=iter("0" * 10 + "2" + "1" * 5))
+        assert c.count("1", 16) == 5
+        with pytest.raises(InvalidLabel, match=r"^symbols \['2'\] outside alphabet \('0', '1'\)$"):
+            c.with_alphabet("01")
+
+    def test_stray_met_only_by_read_ahead_is_not_served(self):
+        # the stray at 1001 and the symbols after it were read ahead but never
+        # asked for: a narrower alphabet still serves the 1000 zeros before it
+        c = Collective("01", generator=iter("0" * 1000 + "2" + "1" * 50))
+        assert c.count("1", 600) == 0
+        assert c.count("1", 900) == 0
+        zeros = c.with_alphabet("0")
+        assert zeros.count("0", 1000) == 1000
+        assert zeros.prefix(3) == "000"
+        # reaching the stray names it alone, not the ones read after it
+        with pytest.raises(InvalidLabel, match=r"^symbols \['2'\] outside alphabet \('0',\)$"):
+            zeros.count("0", 1001)
+
 
 def _reference_symbols(kind, word, seed, size):
     """The first `size` symbols of a source, computed without Collective."""

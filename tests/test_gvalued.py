@@ -219,6 +219,11 @@ class TestGDistribution:
         p = GDistribution(PADIC3, [("x", Fraction(2)), ("y", Fraction(-1))])
         assert same_distribution(p, GDistribution.from_json(p.to_json()))
         assert GDistribution.from_json(p.to_json()).context.prime == 3
+        n = GDistribution(PADIC3, [(0, Fraction(1, 3)), (-2, Fraction(2, 3))])
+        back = GDistribution.from_json(n.to_json())
+        assert same_distribution(n, back)
+        assert back.outcomes == (0, -2) and all(type(om) is int for om in back.outcomes)
+        assert GDistribution.from_json(GDistribution(REAL, [(None, 1)]).to_json()).outcomes == (None,)
 
     @pytest.mark.parametrize(
         "text",
@@ -254,6 +259,21 @@ class TestGDistribution:
         d = GDistribution.from_json('{"context": "padic:3", "outcomes": [0, 1], "weights": ["-1/10", 2]}')
         assert [d.weight(0), d.weight(1)] == [Fraction(-1, 10), Fraction(2)]
         assert all(type(d.weight(om)) is Fraction for om in d.outcomes)
+
+    @pytest.mark.parametrize(
+        "law, outcome",
+        [
+            # a convolution's outcomes are Fractions, which JSON cannot hold
+            (convolve(dirac(REAL, 0), GDistribution(REAL, {0: Fraction(1, 2), 1: Fraction(1, 2)})), "Fraction(0, 1)"),
+            # JSON would write a tuple as an array, which from_json refuses
+            (GDistribution(REAL, [("a", Fraction(1, 2)), ((0, 1), Fraction(1, 2))]), "(0, 1)"),
+        ],
+        ids=["convolution", "tuple"],
+    )
+    def test_json_refuses_non_scalar_outcomes(self, law, outcome):
+        with pytest.raises(RangeError) as exc:
+            law.to_json()
+        assert str(exc.value) == f"outcome {outcome} is not a JSON scalar"
 
     def test_json_excludes_products(self):
         prod = ProductContext(REAL, PADIC3)
@@ -476,7 +496,7 @@ def typed(x):
 
 def read(f, d):
     """typed(f(d)), or the type of what f(d) raises. (to_json raises
-    TypeError on Fraction outcomes, which JSON cannot hold.)"""
+    RangeError on Fraction outcomes, which JSON cannot hold.)"""
     try:
         return typed(f(d))
     except (RangeError, NotInvertible, TypeError) as exc:
