@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import MAX_LAW_WIDTH, AlphabetMismatch, DigitRange, DomainError, OscillationMissing, RangeError, refuse_over
-from .padic import PadicAbs, PadicApprox, Prime, abs_p, as_fraction, from_digits, to_digits
+from .padic import PadicAbs, PadicApprox, Prime, _as_int, abs_p, as_fraction, from_digits, to_digits
 from .reports import INT, RATIONAL, table_lines
 
 Word = tuple[int, ...]
@@ -317,9 +317,9 @@ class CylinderMeasure:
             raise DomainError(
                 f"uniform splitting by {q} is unbounded {self.prime}-adically; need p != q"
             )
-        if depth < 0:
+        self.depth = _as_int(depth, "table depth")
+        if self.depth < 0:
             raise RangeError("table depth must be >= 0")
-        self.depth = int(depth)
         table = {}
         for w, val in values.items():
             word = _as_word(w, self.q)
@@ -485,7 +485,7 @@ def integrate_continuous(
         total = Fraction(0)
         for word in itertools.product(range(q), repeat=depth):
             total += as_fraction(f.evaluator(word)) * measure.cylinder_mass(word)
-    osc_exp = int(f.oscillation(depth))
+    osc_exp = _as_int(f.oscillation(depth), "oscillation exponent")
     norm = measure.measure_norm(Clopen.whole(q))
     if norm.is_zero:
         err_exp = osc_exp  # zero measure: the sum is exact anyway

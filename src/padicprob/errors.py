@@ -76,8 +76,8 @@ class RegionNotSignificant(PadicProbError):
     neighborhood; the test is misconfigured."""
 
 
-MAX_LAW_WIDTH = 2**20  # residue-law entries, event residues, chain states, integrate prefixes
-MAX_LAW_BITS = 2**33  # bits of a residue law, 1 GiB: width * n * bit_length(|a| + |b - a|), q = a/b
+MAX_LAW_WIDTH = 2**20  # event residues, chain states, integrate prefixes
+MAX_LAW_BITS = 2**33  # bits of a residue law, 1 GiB: width * n * bit_length(|a| + |b - a|), q = a/b; width <= n + 1
 MAX_CHAIN_COST = 2**34  # one checkpoint-chain step: its products times their bit length
 MAX_POWERSET_OUTCOMES = 16  # powerset_field lists 2**outcomes events
 MAX_SYMBOLS = 2**30  # symbols a collective draws from random bits, reads from a generator or returns as a prefix

@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     refuse_over,
 )
-from .padic import Ball, PadicApprox, Prime, as_fraction, digit_count, vp
+from .padic import Ball, PadicApprox, Prime, _as_int, as_fraction, digit_count, vp
 from .reports import EXPONENT, INT, RATIONAL, format_rational, format_value, table_lines
 
 LOGGER = logging.getLogger(__name__)
@@ -386,7 +386,8 @@ def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
     exactly. Raises RangeError if some gap is too short to steer the sum.
     """
     terms = list(terms)
-    mod, targets = event_residues(prime, int(depth), int(center), mode, max(terms, default=0))
+    depth, center = _as_int(depth, "depth"), _as_int(center, "center")
+    mod, targets = event_residues(prime, depth, center, mode, max(terms, default=0))
     out = []
     s = 0
     pos = 0
@@ -446,7 +447,7 @@ class SequenceSelector:
                 raise InvalidTarget("power scheme converges to 0")
             object.__setattr__(self, "target", Fraction(0))
         else:
-            terms = tuple(int(n) for n in self.explicit_terms)
+            terms = tuple(_as_int(n, "sample size") for n in self.explicit_terms)
             if not terms:
                 raise RangeError("explicit scheme needs terms")
             if any(n < 1 for n in terms):

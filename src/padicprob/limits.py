@@ -23,6 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
 from operator import mul
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import (
@@ -164,11 +165,10 @@ def _residue_law(a: int, b: int, n: int, mod: int) -> list[int]:
     over the n + 1 exact terms C(n,j) (b-a)**j a**(n-j), each derived from
     the last by one small multiplication and one exact small division,
     folded mod `mod`. The route depends only on n and mod; both give the
-    same integers. A law of more than MAX_LAW_WIDTH entries, or one that
-    may hold more than MAX_LAW_BITS bits, raises RangeError before any work.
+    same integers. A law that may hold more than MAX_LAW_BITS bits, which
+    also caps its width at 92,682 entries, raises RangeError before any work.
     """
     mod = min(mod, n + 1)
-    refuse_over(mod, MAX_LAW_WIDTH, f"residue law mod {mod} has {mod} entries")
     c = b - a
     bits = mod * n * (abs(a) + abs(c)).bit_length()
     refuse_over(bits, MAX_LAW_BITS, f"residue law mod {mod} over n={n} trials may hold {bits} bits")
@@ -330,30 +330,28 @@ class ConvergenceTrace:
         return table_lines(_TRACE_COLUMNS, self.rows, fmt, summary)
 
 
-def _eventually_nondecreasing(vals) -> bool:
-    # judged on the second half of the trace, at least the last two entries
-    if len(vals) < 2:
-        return False
-    start = min(len(vals) - 2, len(vals) // 2)
-    tail = vals[start:]
-    return all(x <= y for x, y in zip(tail, tail[1:]))
-
-
-def _judge(vals, threshold: int) -> str:
-    if _eventually_nondecreasing(vals) and vals[-1] >= threshold:
-        return VERDICT_CONVERGING
-    return VERDICT_INCONCLUSIVE
-
-
-def _distance_trace(tag, p, target, terms, value_fn, threshold, params) -> ConvergenceTrace:
+def _distance_trace(tag, selector, terms, value_of, target, threshold, **params) -> ConvergenceTrace:
+    """value_of(N) against target along the selector's terms, at the selector's prime. It
+    converges when the distances never fall over the second half of the rows (at least the
+    last two) and end at threshold or above. The params are that prime, the selector, the
+    threshold and the caller's own keys."""
     if not terms:
         raise InsufficientData("the selector yields no usable terms")
+    p = selector.prime
     rows = []
     for k, n in enumerate(terms, start=1):
-        value = value_fn(n)
+        value = value_of(n)
         rows.append(TraceRow(k, n, value, vp(value - target, p)))
-    verdict = _judge([r.distance_exponent for r in rows], threshold)
+    tail = [r.distance_exponent for r in rows[min(len(rows) - 2, len(rows) // 2):]]
+    converging = len(rows) >= 2 and all(x <= y for x, y in zip(tail, tail[1:])) and tail[-1] >= threshold
+    verdict = VERDICT_CONVERGING if converging else VERDICT_INCONCLUSIVE
+    params = dict(prime=int(p), selector=selector.describe(), threshold=threshold, **params)
     return ConvergenceTrace(tag, tuple(rows), target, verdict, params)
+
+
+def _check_selector_prime(selector: SequenceSelector, p) -> None:
+    if selector.prime != p:
+        raise RangeError(f"the selector runs over {selector.prime}, the trace over {p}")
 
 
 def check_ball_window(p, m: int, r: int, depth: int) -> None:
@@ -389,7 +387,8 @@ def binomial_ball_trace(
     C(m, r)/2**m along N_k -> m (default affine selector m + t*p**k).
 
     The standard window requires m <= p**s - 1 with depth >= s; anything
-    else raises HypothesisViolation before any computation.
+    else raises HypothesisViolation before any computation. A selector
+    over another prime raises RangeError before any law is built.
     """
     p = Prime(prime)
     check_ball_window(p, m, r, depth)
@@ -397,27 +396,14 @@ def binomial_ball_trace(
         raise RangeError("t must be a natural >= 1")
     if selector is None:
         selector = SequenceSelector(p, "affine", target=Fraction(m), t=t)
+    _check_selector_prime(selector, p)
     params = symmetric_params(p)
     terms = selector.terms(kmax)
     # the rows come first, so a law too wide for them is refused before 2**m is built
     values = {n: ball_probability(params, n, depth, r) for n in terms}
-    target = Fraction(comb(m, r), 2**m)
-    meta = {
-        "prime": int(p),
-        "m": m,
-        "r": r,
-        "l": depth,
-        "selector": selector.describe(),
-        "threshold": threshold,
-    }
     return _distance_trace(
-        "binomial-ball-limit",
-        p,
-        target,
-        terms,
-        values.__getitem__,
-        threshold,
-        meta,
+        "binomial-ball-limit", selector, terms, values.__getitem__,
+        Fraction(comb(m, r), 2**m), threshold, m=m, r=r, l=depth,
     )
 
 
@@ -442,22 +428,18 @@ def divisibility_balance_traces(
     prime, *, kmax: int = 5, t: int = 1, threshold: int = 4
 ) -> tuple[ConvergenceTrace, ConvergenceTrace]:
     """Along N_k = 1 + t*p**k, both P(p divides S) and its complement
-    converge to 1/2. Both are read off one residue law mod p per N_k:
-    the complement is the sum over the nonzero residues."""
+    converge to 1/2. P(p divides S) is the ball of radius 1/p around 0,
+    one ball probability per N_k, and the complement is 1 minus it."""
     p = Prime(prime)
     selector = SequenceSelector(p, "affine", target=Fraction(1), t=t)
     terms = selector.terms(kmax)
-    laws = {n: _residue_law(1, 2, n, p) for n in terms}
-    meta = {"prime": int(p), "selector": selector.describe(), "threshold": threshold}
-
-    def trace(event, residues):
-        return _distance_trace(
-            "divisibility-balance", p, Fraction(1, 2), terms,
-            lambda n: Fraction(sum(laws[n][residues]), 2**n), threshold,
-            dict(meta, event=event),
-        )
-
-    return trace("divisible", slice(0, 1)), trace("not-divisible", slice(1, None))
+    # not BernoulliParams, which refuses q = 1/2 at p = 2, where P(2 divides S) is exactly 1/2
+    params = SimpleNamespace(prime=p, q=Fraction(1, 2))
+    divisible = {n: ball_probability(params, n, 1, 0) for n in terms}
+    return tuple(
+        _distance_trace("divisibility-balance", selector, terms, value_of, Fraction(1, 2), threshold, event=event)
+        for event, value_of in (("divisible", divisible.__getitem__), ("not-divisible", lambda n: 1 - divisible[n]))
+    )
 
 
 # -- Mahler coefficients and the law of large numbers ---------------------
@@ -522,24 +504,15 @@ def mahler_lln_traces(
     (1-q)**m C(a, m), a the selector's target."""
     if selector.target is None:
         raise RangeError("the selector must carry the limit target a")
-    p = params.prime
-    if p != selector.prime:
-        raise RangeError("selector and parameters disagree on the prime")
+    _check_selector_prime(selector, params.prime)
     a = selector.target
     terms = selector.terms(kmax)
-    meta = {
-        "prime": int(p),
-        "q": format_rational(params.q),
-        "a": format_rational(a),
-        "selector": selector.describe(),
-        "threshold": threshold,
-    }
     targets = mahler_row(params, a, mmax)
     rows = {n: mahler_row(params, n, mmax) for n in terms}
+    q, a = format_rational(params.q), format_rational(a)
     return {
         m: _distance_trace(
-            "mahler-lln", p, targets[m], terms,
-            lambda n, m=m: rows[n][m], threshold, dict(meta, m=m),
+            "mahler-lln", selector, terms, lambda n, m=m: rows[n][m], targets[m], threshold, q=q, a=a, m=m
         )
         for m in range(mmax + 1)
     }

@@ -26,6 +26,17 @@ from padicprob.padic import DEFAULT_PRECISION, to_approx
 from padicprob.reports import INT, RATIONAL, table_lines
 
 
+WIDE = 18446744073709551557  # the largest prime below 2**64
+
+
+def law_too_wide(n):
+    # the law mod WIDE over n trials of q = 1/2 may hold WIDE * n * 2 bits
+    return (
+        f"residue law mod {WIDE} over n={n} trials may hold {WIDE * n * 2} bits, "
+        "more than the limit of 8589934592"
+    )
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -195,18 +206,15 @@ class TestTraceCommands:
         assert err.splitlines()[-1] == "error: the selector yields no usable terms"
 
     TEST_ARGS = ["--l", "1", "--r", "0", "--scheme", "1+p^k", "--eps-exp", "1", "--kmax", "1"]
-    LAW_TOO_WIDE = (
-        "residue law mod 18446744073709551557 has 18446744073709551557 entries, more than the limit of 1048576"
-    )
     EVENT_TOO_WIDE = "the tested event lists 18446744073709551556 residues, more than the limit of 1048576"
 
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["thm31", "--m", "2", "--r", "1", "--l", "1", "--kmax", "1"], LAW_TOO_WIDE),
-            (["eq5", "--kmax", "1"], LAW_TOO_WIDE),
+            (["thm31", "--m", "2", "--r", "1", "--l", "1", "--kmax", "1"], law_too_wide(2 + WIDE)),
+            (["eq5", "--kmax", "1"], law_too_wide(1 + WIDE)),
             # the rows are computed before the limit C(p, r)/2**p, whose denominator has 2**64 bits
-            (["thm32", "--r", "1", "--l", "1", "--kmax", "1"], LAW_TOO_WIDE),
+            (["thm32", "--r", "1", "--l", "1", "--kmax", "1"], law_too_wide(2 * WIDE)),
             # the event would list p - 1 residues, before any symbol is counted
             (["test", "--periodic", "01"] + TEST_ARGS, EVENT_TOO_WIDE),
             (["test", "--periodic", "01", "--mode", "residue"] + TEST_ARGS, EVENT_TOO_WIDE),
@@ -215,8 +223,8 @@ class TestTraceCommands:
         ids=["thm31", "eq5", "thm32", "test-periodic", "test-residue", "test-adversarial"],
     )
     def test_residue_law_too_wide(self, capsys, argv, error):
-        # a law mod this prime would need a list of 2**64 entries
-        rc, out, err = run(capsys, argv + ["--prime", "18446744073709551557"])
+        # a law mod this prime would list about 2**64 entries: its bits are refused before any is built
+        rc, out, err = run(capsys, argv + ["--prime", str(WIDE)])
         assert rc == EXIT_CODES["parse"] == 2
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {error}"]

@@ -373,6 +373,12 @@ class TestCylinderMeasure:
         assert m.cylinder_mass((0,)) == Fraction(3, 8)
         assert m.total() == 1
 
+    @pytest.mark.parametrize("depth", [1.5, "1", True])
+    def test_depth_must_be_an_int(self, depth):
+        # int() would read 1.5 and "1" as 1, and "1" < 0 would raise a bare TypeError
+        with pytest.raises(RangeError, match="^table depth must be an int"):
+            CylinderMeasure(2, 3, depth, BERN)
+
     def test_needs_distinct_primes(self):
         with pytest.raises(DomainError):
             CylinderMeasure(3, 3, 0, {(): Fraction(1)})
@@ -611,6 +617,13 @@ class TestContinuousIntegration:
     def test_to_json(self):
         res = integrate_continuous(CylinderMeasure(2, 3, 1, BERN), digit_weight_map(2, 3), 2)
         assert res.report_lines("json") == ['{"depth": 2, "error_exponent": 1, "value": "13/6"}']
+
+    @pytest.mark.parametrize("oscillation", [lambda n: n / 2, str], ids=["half", "text"])
+    def test_oscillation_must_be_an_int(self, oscillation):
+        # int() would truncate 5 / 2 to an error exponent of 2, and parse "5"
+        f = ContinuousMap(digit_weight_map(2, 3).evaluator, oscillation, "loose")
+        with pytest.raises(RangeError, match="^oscillation exponent must be an int"):
+            integrate_continuous(UniformMeasure(2, 3), f, 5)
 
     def test_zero_measure_exact(self):
         res = integrate_continuous(zero_measure(2, 3), digit_weight_map(2, 3), 3)

@@ -154,12 +154,14 @@ class TestBoundaries:
     shows that this one let it through."""
 
     def test_residue_law_width(self):
-        # a = 0 is a point mass, but 2**20 entries over 2**20 trials hold too many bits
-        with pytest.raises(errors.RangeError, match=r"^residue law mod 1048576 over n=1048576 trials may hold"):
-            _residue_law(0, 1, 2**20, 2**20)
+        # MAX_LAW_BITS bounds the width: a = 0 is a point mass of 1-bit entries, and
+        # a law mod n + 1 over n trials may hold (n + 1) * n bits, so n = 92681 is the last
+        assert len(_residue_law(0, 1, 92681, 92682)) == 92682
         with pytest.raises(errors.RangeError) as info:
-            _residue_law(0, 1, 2**20, 2**20 + 1)
-        assert str(info.value) == "residue law mod 1048577 has 1048577 entries, more than the limit of 1048576"
+            _residue_law(0, 1, 92682, 92683)
+        assert str(info.value) == (
+            "residue law mod 92683 over n=92682 trials may hold 8590045806 bits, more than the limit of 8589934592"
+        )
         # a modulus above n + 1 is lowered to n + 1 first
         assert _residue_law(1, 2, 3, 2**64) == [1, 3, 3, 1]
 

@@ -361,6 +361,12 @@ class TestSelectors:
         assert s.terms(4) == [5, 11, 29, 83]
         assert s.describe() == "2+1*3^k"
 
+    @pytest.mark.parametrize("term", [2.5, "5", True])
+    def test_explicit_terms_must_be_ints(self, term):
+        # int() would read 2.5 as 2 and "5" as 5
+        with pytest.raises(RangeError, match="^sample size must be an int"):
+            SequenceSelector(3, "explicit", explicit_terms=(1, term))
+
     def test_affine_rejects_fractional_target(self):
         with pytest.raises(InvalidTarget):
             SequenceSelector(3, "affine", target=Fraction(1, 2))
@@ -587,6 +593,17 @@ class TestCheckpointForcing:
         for n in terms:
             s = c.count("1", n)
             assert 0 < s % 9 < 3
+
+    @pytest.mark.parametrize("depth", [1.7, "1"])
+    def test_depth_must_be_an_int(self, depth):
+        # int() would read 1.7 as 1
+        with pytest.raises(RangeError, match="^depth must be an int"):
+            checkpoint_forcing_bits(3, depth, 0, [4, 10])
+
+    @pytest.mark.parametrize("center", [0.5, "0"])
+    def test_center_must_be_an_int(self, center):
+        with pytest.raises(RangeError, match="^center must be an int"):
+            checkpoint_forcing_bits(3, 1, center, [4, 10])
 
     def test_infeasible_gap_rejected(self):
         # first checkpoint too close to steer the sum onto the sphere

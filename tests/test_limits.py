@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from padicprob import limits
 from padicprob.errors import (
     MAX_LAW_BITS,
     DomainError,
@@ -65,6 +66,11 @@ from padicprob.padic import PadicAbs, PadicApprox, abs_p, factorial_vp, falling_
 from padicprob.series import FormalSeries, cosh_scaled_sq, exp_series, log1p_series
 
 SYM3 = symmetric_params(3)
+WIDE = 18446744073709551557  # the largest prime below 2**64
+
+
+def _no_law(*args):
+    raise AssertionError("a law was built")
 
 
 def _carry_count(n, r, p):
@@ -413,6 +419,18 @@ class TestBallTraces:
         with pytest.raises(InsufficientData, match="no usable terms"):
             binomial_ball_trace(3, 2, 1, 1, selector=sel)
 
+    def test_selector_over_another_prime(self):
+        # its N_k = 7, 27, 127 converge 5-adically, not 3-adically, to 2
+        sel = SequenceSelector(5, "affine", target=Fraction(2))
+        with pytest.raises(RangeError, match=r"^the selector runs over 5, the trace over 3$"):
+            binomial_ball_trace(3, 2, 1, 1, kmax=3, selector=sel)
+
+    def test_wide_selector_refused_before_any_law(self, monkeypatch):
+        monkeypatch.setattr(limits, "_residue_law", _no_law)
+        sel = SequenceSelector(WIDE, "affine", target=Fraction(2))
+        with pytest.raises(RangeError, match=rf"^the selector runs over {WIDE}, the trace over 3$"):
+            binomial_ball_trace(3, 2, 1, 1, kmax=3, selector=sel)
+
     def test_custom_selector(self):
         sel = SequenceSelector(3, "affine", target=Fraction(2), t=2)
         t = binomial_ball_trace(3, 2, 1, 1, kmax=4, selector=sel)
@@ -493,6 +511,14 @@ class TestDivisibilityBalance:
                 others = sum(comb(n, j) for j in range(n + 1) if j % p)
                 assert b.value == 1 - a.value == 1 - ball_probability(symmetric_params(p), n, 1, 0)
                 assert b.value == Fraction(others, 2**n)
+
+    def test_prime_two(self):
+        # q = 1/2 is no 2-adic integer, but P(2 divides S_N) = 1/2 exactly for N >= 1
+        for t in divisibility_balance_traces(2, kmax=3):
+            assert [(r.n, r.value, r.distance_exponent) for r in t.rows] == [
+                (3, Fraction(1, 2), math.inf), (5, Fraction(1, 2), math.inf), (9, Fraction(1, 2), math.inf)
+            ]
+            assert t.params["prime"] == 2
 
 
 class TestCharfun:
@@ -711,6 +737,13 @@ class TestMahlerLln:
             mahler_lln_traces(
                 SYM3, SequenceSelector(5, "truncation", target=Fraction(-1)), 2, 4
             )
+
+    def test_selector_over_another_prime(self, monkeypatch):
+        # the ball trace's message; refused before any Mahler row is built
+        monkeypatch.setattr(limits, "mahler_row", _no_law)
+        for p in (5, WIDE):
+            with pytest.raises(RangeError, match=rf"^the selector runs over {p}, the trace over 3$"):
+                mahler_lln_traces(SYM3, SequenceSelector(p, "affine", target=Fraction(2)), 2, 3)
 
 
 class TestCltSeries:
