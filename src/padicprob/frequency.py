@@ -44,7 +44,6 @@ VERDICT_RANGE = "RangeViolation"
 CAUCHY_NOTE = "Cauchy-window heuristic on finite evidence; not a convergence proof"
 
 _WS = " \t\n\r\v\f"
-_STRIP_WS = str.maketrans("", "", _WS)
 
 #: random bits are drawn this many 32-bit words per getrandbits call
 _BIT_BLOCK = 4096
@@ -61,6 +60,36 @@ _READ_PIECE = 2**16
 def _refuse(bad, alphabet) -> None:
     if bad:
         raise InvalidLabel(f"symbols {sorted(bad)} outside alphabet {alphabet}")
+
+
+def _strays(text: str, alphabet: tuple) -> str:
+    """The symbols of text outside the alphabet, in order: text with the
+    alphabet deleted. An ASCII text is one bytes pass; only an ASCII symbol
+    can occur in it, so only the alphabet's ASCII symbols are deleted.
+
+    >>> _strays("0a1b0", ("0", "1", "\u00e9")), _strays("0\u00e91", ("0", "1"))
+    ('ab', '\u00e9')
+    """
+    if text.isascii():
+        keep = "".join(a for a in alphabet if a.isascii()).encode("ascii")
+        return text.encode("ascii").translate(None, keep).decode("ascii")
+    return text.translate(str.maketrans("", "", "".join(alphabet)))
+
+
+def _read_symbols(path) -> str:
+    """The file's symbols: its bytes, ASCII only (InvalidLabel), with each
+    kind of whitespace in _WS deleted, decoded once."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii():
+        try:
+            raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise InvalidLabel(f"non-ASCII byte in {path}: {exc}") from None
+    for w in _WS.encode("ascii"):
+        if w in raw:
+            raw = raw.replace(bytes((w,)), b"")
+    return raw.decode("ascii")
 
 
 class Collective:
@@ -83,10 +112,8 @@ class Collective:
             raise RangeError("alphabet entries must be single characters")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise RangeError("alphabet has repeated symbols")
-        # deleting the alphabet leaves only the stray symbols
-        drop_alphabet = str.maketrans("", "", "".join(self.alphabet))
         if isinstance(symbols, str):
-            bad = set(symbols.translate(drop_alphabet))
+            bad = set(_strays(symbols, self.alphabet))
         else:
             symbols = list(symbols)
             bad = set(symbols) - set(self.alphabet)
@@ -112,13 +139,7 @@ class Collective:
 
     @classmethod
     def from_file(cls, path, alphabet) -> "Collective":
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise InvalidLabel(f"non-ASCII byte in {path}: {exc}") from None
-        symbols = text.translate(_STRIP_WS)
+        symbols = _read_symbols(path)
         try:
             return cls(alphabet, symbols=symbols, description=f"file:{path}")
         except InvalidLabel:
@@ -191,15 +212,17 @@ def _count_labels(text: str, start: int, stop: int, table) -> int:
     "1" (every other symbol of text maps to "0"); table None means text
     is 0/1 and the label is "1".
 
-    A branch-free count: each piece becomes a base-2 integer whose set
-    bits are counted. str.count would mispredict a branch per symbol.
+    A branch-free count: each 0/1 piece is read as the integer of its
+    ASCII bytes, whose set bits are counted. "0" (0x30) sets two bits and
+    "1" (0x31) three, so the ones are that count less two per symbol.
+    str.count would mispredict a branch per symbol.
     """
     seen = 0
     for i in range(start, stop, _COUNT_PIECE):
         piece = text[i : min(i + _COUNT_PIECE, stop)]
         if table is not None:
             piece = piece.translate(table)
-        seen += int(piece, 2).bit_count()
+        seen += int.from_bytes(piece.encode("ascii"), "little").bit_count() - 2 * len(piece)
     return seen
 
 
@@ -226,7 +249,6 @@ class _Stored:
         need = n - len(self.buf)
         if need > 0 and self.gen is not None:
             refuse_over(n, MAX_SYMBOLS, f"{self.description} asked for {n} symbols")
-            drop = str.maketrans("", "", "".join(self.alphabet))
             pieces, bad = [self.buf], ""
             want = min(max(n, 2 * len(self.buf)), MAX_SYMBOLS) - len(self.buf)
             while want > 0 and self.gen is not None:
@@ -234,11 +256,11 @@ class _Stored:
                 piece = "".join(itertools.islice(self.gen, step))
                 if len(piece) < step:
                     self.gen = None  # a source that ran short yields no more
-                if stray := piece.translate(drop):
+                if stray := _strays(piece, self.alphabet):
                     cut = min(map(piece.index, set(stray)))
                     pieces.append(piece[:cut])
                     if cut < need:  # a source that strayed yields no more
-                        bad, self.gen = piece[cut:need].translate(drop), None
+                        bad, self.gen = _strays(piece[cut:need], self.alphabet), None
                     else:
                         self.gen = itertools.chain(piece[cut:], self.gen or ())
                     break
@@ -433,6 +455,7 @@ class SequenceSelector:
             raise RangeError(f"unknown scheme {self.scheme!r}")
         if self.target is not None:
             object.__setattr__(self, "target", as_fraction(self.target))
+        object.__setattr__(self, "t", _as_int(self.t, "t"))
         if self.scheme in ("affine", "truncation", "power") and self.t < 1:
             raise RangeError("t must be a natural >= 1")
         if self.scheme == "affine":
@@ -461,6 +484,7 @@ class SequenceSelector:
     def terms(self, kmax: int) -> list[int]:
         """The first kmax usable sample sizes; zero or repeated
         truncation representatives are skipped with a log note."""
+        kmax = _as_int(kmax, "kmax")
         if kmax < 1:
             raise RangeError("kmax must be >= 1")
         p = self.prime

@@ -595,6 +595,36 @@ class TestFreq:
                 argv[1:3] = ["--input", str(path)]
                 assert run(capsys, argv)[0] == code
 
+    def test_file_whitespace_kinds_give_the_same_bytes(self, capsys, tmp_path):
+        symbols = "0110100110010110" * 8
+        plain, broken = tmp_path / "plain.txt", tmp_path / "broken.txt"
+        plain.write_bytes("\n".join(symbols).encode("ascii") + b"\n")
+        kinds = [" ", "\t", "\r\n", "\v", "\f"]
+        broken.write_bytes("".join(
+            ch + kinds[i % len(kinds)] * (i % 3) for i, ch in enumerate(symbols)
+        ).encode("ascii"))
+        assert all(w.encode("ascii") in broken.read_bytes() for w in kinds)
+        argv = ["freq", "--labels", "1", "--prime", "2", "--scheme", "p^k", "--kmax", "7"]
+        rc, out, _ = run(capsys, [*argv, "--input", str(plain)])
+        assert rc == 0
+        assert out.splitlines()[-1] == "7,128,1,2,inf"
+        assert run(capsys, [*argv, "--input", str(broken)])[:2] == (0, out)
+
+    @pytest.mark.parametrize("raw", [b"01 1\xc3\xa9\n0", b"01\tx\r\n10"], ids=["non-ascii", "stray"])
+    def test_file_refusals_keep_their_messages(self, capsys, tmp_path, raw):
+        path = tmp_path / "symbols.txt"
+        path.write_bytes(raw)
+        rc, out, err = run(capsys, ["freq", "--input", str(path), "--labels", "1", "--prime", "2",
+                                    "--scheme", "p^k", "--kmax", "2"])
+        assert rc == EXIT_CODES["parse"] == 2
+        assert out == ""
+        if raw.isascii():
+            want = f"symbols ['x'] in {path} outside alphabet ('0', '1')"
+        else:
+            want = (f"non-ASCII byte in {path}: 'ascii' codec can't decode byte 0xc3 "
+                    "in position 4: ordinal not in range(128)")
+        assert err.splitlines()[-1] == f"error: {want}"
+
     def test_huge_periodic_sample_in_closed_form(self, capsys):
         # 10**10 symbols are counted from the word, none is produced
         rc, out, _ = run(capsys, ["freq", "--periodic", "01", "--labels", "1", "--prime", "2",

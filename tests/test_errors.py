@@ -11,10 +11,11 @@ import pytest
 import padicprob
 from padicprob import cli, errors
 from padicprob.cli import EXIT_CODES, main
-from padicprob.frequency import Collective, event_residues
+from padicprob.frequency import Collective, SequenceSelector, event_residues
 from padicprob.gvalued import powerset_field
 from padicprob.limits import (
     _residue_law,
+    binomial_ball_trace,
     checkpoint_pattern_distribution,
     hit_union_probability,
     sphere_probability,
@@ -92,6 +93,23 @@ def test_roots_are_disjoint():
     roots = (errors.RangeError, errors.HypothesisViolation, errors.InsufficientData)
     for cls in ERROR_CLASSES:
         assert sum(issubclass(cls, root) for root in roots) <= 1, cls
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # a float t once gave float sample sizes [6.5, 15.5, 42.5]
+        (lambda: SequenceSelector(3, "affine", target=2, t=1.5), "t must be an int, got float"),
+        (lambda: SequenceSelector(3, "power", t="2"), "t must be an int, got str"),
+        (lambda: SequenceSelector(3, "power").terms(2.5), "kmax must be an int, got float"),
+        (lambda: binomial_ball_trace(3, 2, 1, 1, kmax=3, t=1.5), "t must be an int, got float"),
+    ],
+    ids=["affine-t", "power-t", "kmax", "ball-trace-t"],
+)
+def test_selector_reads_integers(call, message):
+    with pytest.raises(errors.RangeError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)

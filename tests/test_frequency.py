@@ -21,6 +21,7 @@ from padicprob.frequency import (
     CAUCHY_NOTE,
     Collective,
     SequenceSelector,
+    _strays,
     checkpoint_forcing_bits,
     conditional_s_probability,
     decimal_exponent,
@@ -353,6 +354,77 @@ class TestSources:
                 assert str(got.value) == str(exc)
                 return
             assert c.count(labels, n) == want == sum(ref.count(ch, 0, n) for ch in labels)
+
+
+def _translate_strays(text, alphabet):
+    """The str.translate stray check: text with the alphabet deleted."""
+    return text.translate(str.maketrans("", "", "".join(alphabet)))
+
+
+def _base2_count(text, n, labels, alphabet):
+    """The int(piece, 2) count of labels among text[:n], piece by piece."""
+    table = None
+    if set(labels) != {"1"} or set(alphabet) != {"0", "1"}:
+        table = str.maketrans({a: "01"[a in labels] for a in alphabet})
+    seen = 0
+    for i in range(0, n, _COUNT_PIECE):
+        piece = text[i : min(i + _COUNT_PIECE, n)]
+        seen += int(piece if table is None else piece.translate(table), 2).bit_count()
+    return seen
+
+
+#: any character but a surrogate, ASCII drawn often
+_ANY_CHAR = st.one_of(st.characters(max_codepoint=0xD7FF), st.characters(min_codepoint=0xE000))
+
+
+@st.composite
+def _stray_sessions(draw):
+    """An alphabet that may hold non-ASCII symbols, symbols that may hold
+    strays (long enough to span count pieces when repeated), label sets
+    and rising sizes."""
+    alphabet = draw(st.one_of(
+        st.just("01"),
+        st.lists(st.one_of(st.sampled_from("01abc"), _ANY_CHAR), min_size=1, max_size=5, unique=True)
+        .map("".join),
+    ))
+    word = draw(st.text(st.one_of(st.sampled_from(alphabet), _ANY_CHAR), min_size=1, max_size=40))
+    symbols = word * draw(st.sampled_from([1, 3, _COUNT_PIECE // len(word) + 2]))
+    label_sets = draw(st.lists(st.sets(st.sampled_from(alphabet)), min_size=1, max_size=3))
+    # a full count piece and the whole string are always among the sizes
+    edges = [n for n in (_COUNT_PIECE, len(symbols)) if n <= len(symbols)]
+    sizes = sorted(draw(st.lists(st.integers(0, len(symbols)), max_size=5)) + edges)
+    return alphabet, symbols, [(draw(st.sampled_from(label_sets)), n) for n in sizes]
+
+
+class TestBytesRoute:
+    """The bytes stray check and count against the str.translate and
+    int(piece, 2) route they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stray_sessions())
+    def test_strays_and_counts_match_the_str_route(self, session):
+        alphabet, symbols, calls = session
+        assert _strays(symbols, tuple(alphabet)) == _translate_strays(symbols, alphabet)
+        bad = set(symbols) - set(alphabet)
+        message = f"symbols {sorted(bad)} outside alphabet {tuple(alphabet)}"
+        for build in (
+            lambda: Collective(alphabet, symbols=symbols),
+            lambda: Collective(alphabet, generator=iter(symbols)).count("", len(symbols)),
+        ):
+            if bad:
+                with pytest.raises(InvalidLabel) as exc:
+                    build()
+                assert str(exc.value) == message
+            else:
+                build()
+        text = "".join(ch for ch in symbols if ch in alphabet)
+        c = Collective(alphabet, symbols=text)
+        for labels, n in calls:
+            n = min(n, len(text))
+            want = sum(text.count(ch, 0, n) for ch in labels)
+            assert c.count(labels, n) == want == _base2_count(text, n, labels, alphabet)
+            # counted from 0 in one call, in full pieces
+            assert Collective(alphabet, symbols=text).count(labels, n) == want
 
 
 class TestSelectors:
