@@ -24,7 +24,7 @@ from . import limits
 from .cylinder import UniformMeasure, digit_weight_map, integrate_continuous
 from .errors import HypothesisViolation, InsufficientData, PadicProbError, RangeError
 from .frequency import Collective, conditional_s_probability, parse_selector, s_probability
-from .padic import DEFAULT_PRECISION, Prime, abs_p, as_fraction, to_approx, vp
+from .padic import DEFAULT_PRECISION, Prime, _as_int, abs_p, as_fraction, to_approx, vp
 from .reports import (
     EXPONENT,
     INT,
@@ -238,8 +238,8 @@ def _cmd_mahler(args):
     # each branch refuses a bad value of the other branch's flags too
     as_fraction(args.q)
     for flag, value in (("mmax", args.mmax), ("n", args.n), ("count", args.count)):
-        if value is not None and value < 0:
-            raise RangeError(f"{flag} must be a natural")
+        if value is not None:
+            _as_int(value, flag, 0)
     if args.clt_check:
         a = as_fraction(args.a)
         count = args.count

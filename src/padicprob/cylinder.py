@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import MAX_LAW_WIDTH, AlphabetMismatch, DigitRange, DomainError, OscillationMissing, RangeError, refuse_over
-from .padic import PadicAbs, PadicApprox, Prime, _as_int, abs_p, as_fraction, from_digits, to_digits
+from .padic import PadicAbs, PadicApprox, Prime, _as_int, _as_pair, abs_p, as_fraction, from_digits, to_digits
 from .reports import INT, RATIONAL, table_lines
 
 Word = tuple[int, ...]
@@ -60,9 +60,9 @@ def encode_jq(word, q) -> int:
 def decode_jq(n: int, q, depth: int) -> Word:
     """Inverse of encode_jq on naturals below q**depth."""
     q = Prime(q)
-    if depth < 0:
+    if _as_int(depth, "depth") < 0:
         raise DigitRange("depth must be >= 0")
-    if not 0 <= n < q**depth:
+    if not 0 <= _as_int(n, "n") < q**depth:
         raise DigitRange(f"{n} is not encodable in {depth} base-{q} digits")
     return to_digits(n, q, depth)
 
@@ -317,9 +317,7 @@ class CylinderMeasure:
             raise DomainError(
                 f"uniform splitting by {q} is unbounded {self.prime}-adically; need p != q"
             )
-        self.depth = _as_int(depth, "table depth")
-        if self.depth < 0:
-            raise RangeError("table depth must be >= 0")
+        self.depth = _as_int(depth, "table depth", 0)
         table = {}
         for w, val in values.items():
             word = _as_word(w, self.q)
@@ -399,7 +397,8 @@ class StepFunction:
     def __init__(self, q, pieces):
         self.q = int(Prime(q))
         kept = []
-        for region, value in pieces:
+        for piece in pieces:
+            region, value = _as_pair(piece, "step function piece")
             if not isinstance(region, Clopen):
                 region = Clopen(self.q, region)
             if region.q != self.q:
@@ -473,8 +472,7 @@ def integrate_continuous(
     q * n) steps; any other map by evaluating each of the q**n prefixes."""
     if f.oscillation is None:
         raise OscillationMissing("continuous integration needs an oscillation bound")
-    if depth < 0:
-        raise RangeError("depth must be >= 0")
+    depth = _as_int(depth, "depth", 0)
     q, p = measure.q, measure.prime
     # q >= 2, so q to the bit length of the limit is over it: q**depth is never built
     prefixes = q ** min(depth, MAX_LAW_WIDTH.bit_length())

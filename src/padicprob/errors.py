@@ -5,6 +5,8 @@ CLI's exit code (cli.EXIT_CODES): RangeError 2 (also a ValueError, so
 existing `except ValueError` callers keep working), HypothesisViolation 3,
 InsufficientData 4, and any other PadicProbError 5. Every size limit is
 defined here and checked by refuse_over before the bounded object is built.
+Every integer argument is read once, by padic._as_int, which refuses a
+non-int, a bool and a value below the argument's least with RangeError.
 """
 
 from __future__ import annotations

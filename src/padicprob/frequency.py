@@ -150,6 +150,7 @@ class Collective:
 
     @classmethod
     def periodic(cls, word, alphabet=None) -> "Collective":
+        word = "".join(word)
         if not word:
             raise RangeError("periodic word must be nonempty")
         if alphabet is None:
@@ -181,23 +182,22 @@ class Collective:
 
     # -- access ----------------------------------------------------------
 
-    def _check(self, n: int) -> None:
-        """Refuse a negative n, and a drawn symbol outside the alphabet
-        among the first n (InvalidLabel)."""
-        if n < 0:
-            raise RangeError("prefix length must be >= 0")
+    def _check(self, n: int) -> int:
+        """n as a natural; refuse a drawn symbol outside the alphabet among
+        the first n (InvalidLabel)."""
+        n = _as_int(n, "prefix length", 0)
         if self._strays:
             _refuse({s for s in self._strays if self._source.count({s}, n)}, self.alphabet)
+        return n
 
     def prefix(self, n: int) -> str:
+        n = self._check(n)
         refuse_over(n, MAX_SYMBOLS, f"{self.description} asked for a prefix of {n} symbols")
-        self._check(n)
         return self._source.prefix(n)
 
     def count(self, labels, n: int) -> int:
         labels = self.labelset(labels)
-        self._check(n)
-        return self._source.count(labels, n)
+        return self._source.count(labels, self._check(n))
 
     def labelset(self, labels) -> frozenset:
         out = frozenset(labels)
@@ -364,8 +364,7 @@ class _RandomBits:
 
 def relative_frequency(collective: Collective, labels, n: int) -> Fraction:
     """nu_N(A) = (occurrences of A among the first N symbols) / N."""
-    if n < 1:
-        raise RangeError("frequency needs N >= 1")
+    n = _as_int(n, "N", 1)
     return Fraction(collective.count(labels, n), n)
 
 
@@ -388,9 +387,8 @@ def event_residues(prime, depth: int, center: int, mode: str, n: int) -> tuple[i
     >>> event_residues(3, 10**9, 0, "ball", 40), event_residues(3, 2, -5, "sphere", 40)
     ((81, frozenset({0})), (27, frozenset({4, 13})))
     """
-    p = Prime(prime)
-    if depth < 0:
-        raise RangeError("depth must be >= 0")
+    p, depth, n = Prime(prime), _as_int(depth, "depth", 0), _as_int(n, "n", 0)
+    center = _as_int(center, "center")
     small = p ** min(depth, digit_count(n + abs(center) + p, p))
     if mode == "ball":
         return small, frozenset((center % small,))
@@ -402,20 +400,25 @@ def event_residues(prime, depth: int, center: int, mode: str, n: int) -> tuple[i
     raise RangeError(f"unknown mode {mode!r}")
 
 
+def _checkpoints(terms) -> list[int]:
+    """The checkpoints as a list of ints, strictly increasing from 1."""
+    terms = [_as_int(n, "checkpoint", 1) for n in terms]
+    if any(a >= b for a, b in zip(terms, terms[1:])):
+        raise RangeError("checkpoints must be strictly increasing")
+    return terms
+
+
 def checkpoint_forcing_bits(prime, depth, center, terms, mode="sphere") -> str:
     """Forward-fill a 0/1 sequence so that at every checkpoint N in
     terms the partial sum hits the tested event (see event_residues)
     exactly. Raises RangeError if some gap is too short to steer the sum.
     """
-    terms = list(terms)
-    depth, center = _as_int(depth, "depth"), _as_int(center, "center")
+    terms = _checkpoints(terms)
     mod, targets = event_residues(prime, depth, center, mode, max(terms, default=0))
     out = []
     s = 0
     pos = 0
     for i, n in enumerate(terms):
-        if n <= pos:
-            raise RangeError("checkpoints must be strictly increasing")
         gap = n - pos
         deltas = sorted((t - s) % mod for t in targets)
         delta = next((d for d in deltas if d <= gap), None)
@@ -455,9 +458,7 @@ class SequenceSelector:
             raise RangeError(f"unknown scheme {self.scheme!r}")
         if self.target is not None:
             object.__setattr__(self, "target", as_fraction(self.target))
-        object.__setattr__(self, "t", _as_int(self.t, "t"))
-        if self.scheme in ("affine", "truncation", "power") and self.t < 1:
-            raise RangeError("t must be a natural >= 1")
+        object.__setattr__(self, "t", _as_int(self.t, "t", None if self.scheme == "explicit" else 1))
         if self.scheme == "affine":
             m = self.target
             if m is None or m.denominator != 1 or m < 0:
@@ -470,11 +471,9 @@ class SequenceSelector:
                 raise InvalidTarget("power scheme converges to 0")
             object.__setattr__(self, "target", Fraction(0))
         else:
-            terms = tuple(_as_int(n, "sample size") for n in self.explicit_terms)
+            terms = tuple(_as_int(n, "sample size", 1) for n in self.explicit_terms)
             if not terms:
                 raise RangeError("explicit scheme needs terms")
-            if any(n < 1 for n in terms):
-                raise RangeError("sample sizes must be naturals >= 1")
             if len(set(terms)) != len(terms):
                 raise RangeError("sample sizes must be distinct")
             object.__setattr__(self, "explicit_terms", terms)
@@ -484,10 +483,7 @@ class SequenceSelector:
     def terms(self, kmax: int) -> list[int]:
         """The first kmax usable sample sizes; zero or repeated
         truncation representatives are skipped with a log note."""
-        kmax = _as_int(kmax, "kmax")
-        if kmax < 1:
-            raise RangeError("kmax must be >= 1")
-        p = self.prime
+        kmax, p = _as_int(kmax, "kmax", 1), self.prime
         if self.scheme == "affine":
             m = int(self.target)
             return [m + self.t * p**k for k in range(1, kmax + 1)]
@@ -619,8 +615,7 @@ def _window_terms(selector: SequenceSelector, kmax: int, window: int, topology: 
     """The selector's first kmax usable terms, enough for the Cauchy window."""
     if topology not in ("padic", "real"):
         raise RangeError(f"unknown topology {topology!r}")
-    if window < 1:
-        raise RangeError(f"the Cauchy window needs at least one gap, got {window}")
+    window = _as_int(window, "window", 1)
     terms = selector.terms(kmax)
     if len(terms) < window + 1:
         raise InsufficientData(
@@ -636,7 +631,7 @@ def _cauchy_limit(
 
     A Converged p-adic value is checked against the range ball, if one
     is given; a violation is reported, not silenced."""
-    p = selector.prime
+    p, cauchy_threshold = selector.prime, _as_int(cauchy_threshold, "cauchy_threshold")
     rows = []
     prev = None
     for k, n in enumerate(terms, start=1):

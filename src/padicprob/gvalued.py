@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MAX_POWERSET_OUTCOMES, NoRingStructure, NotInvertible, RangeError, RegionNotSignificant, refuse_over
-from .padic import Prime, _numerators, abs_p, as_fraction
+from .padic import Prime, _as_pair, _numerators, abs_p, as_fraction
 
 PRACTICALLY_IMPOSSIBLE = "PracticallyImpossible"
 SIGNIFICANT = "Significant"
@@ -551,7 +551,7 @@ class CriticalRegionTest:
         checked = []
         for region in regions:
             if not isinstance(region, CriticalRegion):
-                event, level = region
+                event, level = _as_pair(region, "critical region")
                 region = CriticalRegion(frozenset(event), level)
             p = d.probability(region.event)
             if not region.level.contains(p):

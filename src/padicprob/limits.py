@@ -38,11 +38,12 @@ from .errors import (
     RangeError,
     refuse_over,
 )
-from .frequency import Collective, SequenceSelector, event_residues
+from .frequency import Collective, SequenceSelector, _checkpoints, event_residues
 from .padic import (
     PadicAbs,
     PadicApprox,
     Prime,
+    _as_int,
     _numerators,
     as_fraction,
     binomial_terms,
@@ -59,17 +60,15 @@ LOGGER = logging.getLogger(__name__)
 
 def binom(n: int, r: int) -> int:
     """Exact C(n, r); RangeError outside 0 <= r <= n."""
-    if not 0 <= r <= n:
-        raise RangeError(f"binom needs 0 <= r <= n, got n={n}, r={r}")
-    return comb(n, r)
+    r = _as_int(r, "r", 0)
+    return comb(_as_int(n, "n", r), r)
 
 
 def binom_vp(n: int, r: int, p) -> int:
     """v_p(C(n, r)) = v_p(n!) - v_p(r!) - v_p((n-r)!) by Legendre's formula, which Kummer's
     theorem equates with the carries when adding r and n-r in base p."""
-    if not 0 <= r <= n:
-        raise RangeError(f"binom_vp needs 0 <= r <= n, got n={n}, r={r}")
-    p = Prime(p)
+    r = _as_int(r, "r", 0)
+    n, p = _as_int(n, "n", r), Prime(p)
     return factorial_vp(n, p) - factorial_vp(r, p) - factorial_vp(n - r, p)
 
 
@@ -80,8 +79,7 @@ def padic_binomial_coeff(a, m: int, prime=None) -> PadicApprox:
     a may be a PadicApprox or an exact int/Fraction (then no precision
     is lost). The result always satisfies |C(a, m)|_p <= 1.
     """
-    if m < 0:
-        raise RangeError("m must be a natural")
+    m = _as_int(m, "m", 0)
     if isinstance(a, PadicApprox):
         p = a.prime
         if m == 0:
@@ -138,13 +136,11 @@ class SumDistribution:
     """Distribution of S_n = number of 1s among n trials."""
 
     def __init__(self, n: int, params: BernoulliParams):
-        if n < 0:
-            raise RangeError("n must be a natural")
-        self.n = n
+        self.n = _as_int(n, "n", 0)
         self.params = params
 
     def weight(self, j: int) -> Fraction:
-        if not 0 <= j <= self.n:
+        if not 0 <= _as_int(j, "j") <= self.n:
             return Fraction(0)
         q, qp = self.params.q, self.params.q_prime
         return comb(self.n, j) * qp**j * q ** (self.n - j)
@@ -286,8 +282,7 @@ def sphere_probability(params: BernoulliParams, n: int, depth: int, center: int)
 def binomial_limit_weights(m: int) -> dict[int, Fraction]:
     """The limit distribution along N_k -> m: point masses C(m,r)/2**m
     at the atoms r = 0..m."""
-    if m < 0:
-        raise RangeError("m must be a natural")
+    m = _as_int(m, "m", 0)
     return {r: Fraction(comb(m, r), 2**m) for r in range(m + 1)}
 
 
@@ -337,7 +332,7 @@ def _distance_trace(tag, selector, terms, value_of, target, threshold, **params)
     threshold and the caller's own keys."""
     if not terms:
         raise InsufficientData("the selector yields no usable terms")
-    p = selector.prime
+    p, threshold = selector.prime, _as_int(threshold, "threshold")
     rows = []
     for k, n in enumerate(terms, start=1):
         value = value_of(n)
@@ -360,6 +355,7 @@ def check_ball_window(p, m: int, r: int, depth: int) -> None:
     for some s with m <= p**s - 1. The edge case m == p additionally
     allows depth 1 at the interior atoms 1..p-1."""
     p = Prime(p)
+    m, r, depth = _as_int(m, "m"), _as_int(r, "r"), _as_int(depth, "depth")
     if m < 0 or not 0 <= r <= m:
         raise HypothesisViolation(f"center r={r} is not an atom of the limit (0..{m})")
     s_min = digit_count(m, p)  # least s with m <= p**s - 1; m = 0 admits depth 0
@@ -392,8 +388,7 @@ def binomial_ball_trace(
     """
     p = Prime(prime)
     check_ball_window(p, m, r, depth)
-    if t < 1:
-        raise RangeError("t must be a natural >= 1")
+    t = _as_int(t, "t", 1)
     if selector is None:
         selector = SequenceSelector(p, "affine", target=Fraction(m), t=t)
     _check_selector_prime(selector, p)
@@ -459,8 +454,7 @@ def charfun_series(params: BernoulliParams, a, order: int) -> FormalSeries:
 def mahler_lambda(params: BernoulliParams, a, m: int):
     """The m-th Mahler coefficient (1-q)**m * C(a, m) of the limit law;
     exact Fraction for exact a, PadicApprox for approximate a."""
-    if m < 0:
-        raise RangeError("m must be a natural")
+    m = _as_int(m, "m", 0)
     if isinstance(a, PadicApprox):
         return padic_binomial_coeff(a, m).mul_rational(params.q_prime**m)
     return mahler_row(params, a, m)[m]
@@ -469,25 +463,37 @@ def mahler_lambda(params: BernoulliParams, a, m: int):
 def mahler_row(params: BernoulliParams, a, mmax: int) -> list[Fraction]:
     """The Mahler coefficients (1-q)**m * C(a, m) of the law of S_a for
     m = 0..mmax, exact a, as one running product."""
-    if mmax < 0:
-        raise RangeError("mmax must be a natural")
-    if vp(a, params.prime) < 0:
+    return _mahler_rows(params, [a], mmax)[0]
+
+
+def _mahler_rows(params: BernoulliParams, exponents, mmax: int) -> list[list[Fraction]]:
+    """mahler_row of each exponent. Rows that together may hold more than
+    MAX_LAW_BITS bits are refused before any is built: for q' = u/w and
+    a = s/d, term m is u**m s(s - d)...(s - (m-1)d) / (w**m d**m m!), at most
+    m times the bits of u, w, |s| + d M and d M, where M = mmax, or
+    min(mmax, a) for a natural a, whose later terms vanish."""
+    mmax, qp = _as_int(mmax, "mmax", 0), params.q_prime
+    exponents = [as_fraction(a) for a in exponents]
+    if any(vp(a, params.prime) < 0 for a in exponents):
         raise DomainError("exponent must be a p-adic integer")
-    return list(islice(binomial_terms(a, params.q_prime), mmax + 1))
+    bits, uw = 0, qp.numerator.bit_length() + qp.denominator.bit_length()
+    for a in exponents:
+        s, d = a.numerator, a.denominator
+        top = min(mmax, s) if d == 1 and s >= 0 else mmax
+        bits += top * (top + 1) // 2 * (uw + (abs(s) + d * top).bit_length() + (d * top).bit_length())
+    refuse_over(bits, MAX_LAW_BITS, f"Mahler rows through m={mmax} may hold {bits} bits")
+    return [list(islice(binomial_terms(a, qp), mmax + 1)) for a in exponents]
 
 
 def empirical_mahler_row(params: BernoulliParams, n: int, mmax: int) -> list[Fraction]:
     """E[C(S_n, m)] for m = 0..mmax by the closed form (1-q)**m C(n, m):
     C(S_n, m) counts the m-subsets of trials that all give 1."""
-    if n < 0:
-        raise RangeError("n must be a natural")
-    return mahler_row(params, n, mmax)
+    return mahler_row(params, _as_int(n, "n", 0), mmax)
 
 
 def empirical_mahler(params: BernoulliParams, n: int, m: int) -> Fraction:
     """E[C(S_n, m)], exact; equals (1-q)**m C(n, m)."""
-    if m < 0:
-        raise RangeError("m must be a natural")
+    m = _as_int(m, "m", 0)
     return empirical_mahler_row(params, n, m)[m]
 
 
@@ -501,20 +507,21 @@ def mahler_lln_traces(
 ) -> dict[int, ConvergenceTrace]:
     """Law of large numbers in Mahler coordinates: for each m the
     empirical coefficient along N_k converges p-adically to
-    (1-q)**m C(a, m), a the selector's target."""
+    (1-q)**m C(a, m), a the selector's target. Rows that together may hold
+    more than MAX_LAW_BITS bits are refused before any is built."""
     if selector.target is None:
         raise RangeError("the selector must carry the limit target a")
     _check_selector_prime(selector, params.prime)
     a = selector.target
     terms = selector.terms(kmax)
-    targets = mahler_row(params, a, mmax)
-    rows = {n: mahler_row(params, n, mmax) for n in terms}
+    targets, *rows = _mahler_rows(params, [a, *terms], mmax)
+    rows = dict(zip(terms, rows))
     q, a = format_rational(params.q), format_rational(a)
     return {
         m: _distance_trace(
             "mahler-lln", selector, terms, lambda n, m=m: rows[n][m], targets[m], threshold, q=q, a=a, m=m
         )
-        for m in range(mmax + 1)
+        for m in range(len(targets))
     }
 
 
@@ -526,6 +533,7 @@ def clt_series(a, order: int, prime=None) -> FormalSeries:
     even-power expansion so no square root is ever taken. Natural a >= 1
     needs no prime; other exponents must be p-adic units (the even
     coefficients divide by a**k)."""
+    order = _as_int(order, "truncation order", 0)
     if order % 2 != 0:
         raise RangeError("truncation order must be even")
     a = as_fraction(a)
@@ -576,8 +584,7 @@ def charfun_to_mahler(phi: FormalSeries, count: int) -> MahlerSeq:
     over one common denominator."""
     if phi.coefficient(0) != 1:
         raise DomainError("characteristic series must have constant term 1")
-    if count < 0:
-        raise RangeError("count must be a natural")
+    count = _as_int(count, "count", 0)
     if count > phi.order:
         raise OrderError(f"asked for {count} coefficients from order {phi.order}")
     scaled = [c * factorial(k) for k, c in enumerate(phi.coeffs[: count + 1])]
@@ -606,7 +613,7 @@ def clt_mahler_bound_check(prime, count: int = 30) -> MahlerBoundReport:
     Mahler coefficients of p-adic absolute value <= 1 (they are 1, 0 and
     +-1/2). A bounded report is evidence on [0, count], not a theorem
     about the whole tail."""
-    p = Prime(prime)
+    p, count = Prime(prime), _as_int(count, "count", 0)
     if p == 2:
         raise DomainError("the half-integer coefficients are unbounded 2-adically")
     order = count if count % 2 == 0 else count + 1
@@ -656,7 +663,7 @@ class RandomnessResult:
 
 def check_tested_depth(depth: int) -> None:
     """Side condition of the sphere randomness test (depth >= 1)."""
-    if depth < 1:
+    if _as_int(depth, "depth") < 1:
         raise HypothesisViolation("the tested event needs depth >= 1")
 
 
@@ -688,8 +695,8 @@ def sphere_randomness_test(
     check_tested_depth(depth)
     if not set(collective.alphabet) <= {"0", "1"}:
         raise RangeError("the sum test runs on 0/1 sequences")
-    if kmin < 1 or kmax < kmin:
-        raise RangeError("need 1 <= kmin <= kmax")
+    kmin = _as_int(kmin, "kmin", 1)
+    kmax, eps_exponent = _as_int(kmax, "kmax", kmin), _as_int(eps_exponent, "eps_exponent")
     params = symmetric_params(p)
     all_terms = selector.terms(kmax)
     mod, residues = event_residues(p, depth, center, mode, max(all_terms, default=0))
@@ -756,13 +763,11 @@ def _checkpoint_chain(prime, depth, center, terms, mode, step, start) -> tuple[d
     bit length, n at a middle checkpoint and the gap at the last one,
     which only adds up the increments that hit.
     """
-    terms = list(terms)
+    terms = _checkpoints(terms)
     mod, residues = event_residues(prime, depth, center, mode, max(terms, default=0))
     chain: dict = {start: {0: 1}}  # tag -> residue -> numerator
     pos = 0
     for i, n in enumerate(terms):
-        if n <= pos:
-            raise RangeError("checkpoints must be strictly increasing")
         gap = n - pos
         last = i == len(terms) - 1
         after = {tag: (step(tag, i, False), step(tag, i, True)) for tag in chain}
@@ -820,8 +825,7 @@ def hit_union_probability(
     products for K checkpoints, within MAX_CHAIN_COST per step. A
     from_index past the last checkpoint gives 0, the probability of an
     empty union."""
-    if from_index < 0:
-        raise RangeError("from_index must be >= 0")
+    from_index = _as_int(from_index, "from_index", 0)
     numerators, n = _checkpoint_chain(
         prime, depth, center, terms, mode,
         lambda seen, i, hit: seen or (hit and i >= from_index), False,

@@ -116,11 +116,37 @@ def _numerators(xs) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def _as_int(x, what: str) -> int:
-    # like as_fraction, refuse what int() would truncate or parse
-    if isinstance(x, int) and not isinstance(x, bool):
-        return int(x)
-    raise RangeError(f"{what} must be an int, got {type(x).__name__}")
+def _as_int(x, what: str, least: int | None = None) -> int:
+    """The integer argument `what` as a plain int: the one read of every
+    integer argument in the library. Like as_fraction, it refuses what
+    int() would truncate or parse, and a bool, which is a flag; it also
+    refuses a value below `least`, a natural. Each refusal is a RangeError.
+
+    >>> _as_int(3, "depth", 0)
+    3
+    >>> _as_int(0, "kmax", 1)
+    Traceback (most recent call last):
+        ...
+    padicprob.errors.RangeError: kmax must be a natural >= 1
+    >>> _as_int(2.5, "n")
+    Traceback (most recent call last):
+        ...
+    padicprob.errors.RangeError: n must be an int, got float
+    """
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise RangeError(f"{what} must be an int, got {type(x).__name__}")
+    if least is not None and x < least:
+        raise RangeError(f"{what} must be a natural" + (f" >= {least}" if least else ""))
+    return int(x)
+
+
+def _as_pair(x, what: str) -> tuple:
+    """The two items of a pair argument; anything else raises RangeError."""
+    try:
+        first, second = x
+    except (TypeError, ValueError):
+        raise RangeError(f"{what} must be a pair, got {x!r}") from None
+    return first, second
 
 
 def _int_vp(n: int, p: int) -> int:
@@ -407,8 +433,7 @@ class PadicApprox:
     def from_rational(cls, x, p, digits: int = DEFAULT_PRECISION) -> "PadicApprox":
         """Approximate a rational with the given count of significant digits."""
         x = as_fraction(x)
-        if _as_int(digits, "digit count") < 1:
-            raise RangeError("need at least one digit")
+        digits = _as_int(digits, "digit count", 1)
         if x == 0:
             return cls.zero(p)
         return cls.from_rational_abs(x, p, vp(x, p) + digits)
@@ -539,8 +564,7 @@ class PadicApprox:
         return self.mul_rational(1 / c)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise RangeError("only nonnegative integer powers")
+        n = _as_int(n, "exponent", 0)
         p = self.prime
         if n == 0:
             return PadicApprox._window(p, 0, 1, DEFAULT_PRECISION)
@@ -626,9 +650,7 @@ def binomial_terms(a, scale=1):
 
 def falling_binomial(a: Fraction, m: int) -> Fraction:
     """Exact generalized binomial coefficient a(a-1)...(a-m+1)/m!."""
-    if m < 0:
-        raise RangeError("m must be a natural")
-    return next(itertools.islice(binomial_terms(a), m, None))
+    return next(itertools.islice(binomial_terms(a), _as_int(m, "m", 0), None))
 
 
 def _binomial_exponent(a, p) -> tuple[int, int, int | float]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import DomainError, OrderError, RangeError
-from .padic import as_fraction, ratio_terms
+from .padic import _as_int, as_fraction, ratio_terms
 
 
 class FormalSeries:
@@ -79,8 +79,7 @@ class FormalSeries:
         return out
 
     def integer_power(self, n: int) -> "FormalSeries":
-        if not isinstance(n, int) or n < 0:
-            raise RangeError("integer_power needs n >= 0")
+        n = _as_int(n, "n", 0)
         out = one(self.order)
         base = self
         while n:
@@ -127,13 +126,8 @@ class FormalSeries:
         return f"FormalSeries([{shown}{tail}], order={self.order})"
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise RangeError("truncation order must be >= 0")
-
-
 def constant(c, order: int) -> FormalSeries:
-    _check_order(order)
+    order = _as_int(order, "truncation order", 0)
     return FormalSeries([as_fraction(c)] + [Fraction(0)] * order)
 
 
@@ -142,8 +136,7 @@ def one(order: int) -> FormalSeries:
 
 
 def identity(order: int) -> FormalSeries:
-    if order < 1:
-        raise RangeError("identity needs order >= 1")
+    order = _as_int(order, "truncation order", 1)
     return FormalSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1))
 
 
@@ -153,7 +146,7 @@ def exp_series(order: int) -> FormalSeries:
 
 def exp_scaled(c, order: int) -> FormalSeries:
     """exp(c*z) truncated: coefficients c**k / k!."""
-    _check_order(order)
+    order = _as_int(order, "truncation order", 0)
     c = as_fraction(c)
     return FormalSeries(islice(ratio_terms(lambda k: c / k), order + 1))
 
@@ -169,7 +162,7 @@ def sinh_series(order: int) -> FormalSeries:
 
 
 def log1p_series(order: int) -> FormalSeries:
-    _check_order(order)
+    order = _as_int(order, "truncation order", 0)
     coeffs = [Fraction(0)]
     for k in range(1, order + 1):
         coeffs.append(Fraction(1, k) if k % 2 == 1 else Fraction(-1, k))
@@ -179,7 +172,7 @@ def log1p_series(order: int) -> FormalSeries:
 def cosh_scaled_sq(n, order: int) -> FormalSeries:
     """cosh(z/sqrt(n)) written through even powers only: the coefficient
     of z**(2k) is 1/(n**k (2k)!), so no square root is ever taken."""
-    _check_order(order)
+    order = _as_int(order, "truncation order", 0)
     n = as_fraction(n)
     if n == 0:
         raise DomainError("scaling by 1/sqrt(0)")

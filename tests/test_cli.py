@@ -660,7 +660,7 @@ class TestFreq:
         )
         assert rc == EXIT_CODES["parse"]
         assert out == ""
-        assert err.splitlines()[-1] == f"error: the Cauchy window needs at least one gap, got {window}"
+        assert err.splitlines()[-1] == "error: window must be a natural >= 1"
 
 
 @pytest.mark.parametrize("summary", [None, {}, {"verdict": "NoLimit", "b": None}])

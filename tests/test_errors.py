@@ -5,22 +5,60 @@ import inspect
 import pathlib
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
 import padicprob
 from padicprob import cli, errors
 from padicprob.cli import EXIT_CODES, main
-from padicprob.frequency import Collective, SequenceSelector, event_residues
-from padicprob.gvalued import powerset_field
+from padicprob.cylinder import (
+    CylinderMeasure,
+    StepFunction,
+    UniformMeasure,
+    decode_jq,
+    digit_weight_map,
+    integrate_continuous,
+)
+from padicprob.frequency import (
+    Collective,
+    SequenceSelector,
+    checkpoint_forcing_bits,
+    conditional_s_probability,
+    event_residues,
+    relative_frequency,
+    s_probability,
+)
+from padicprob.gvalued import CriticalRegionTest, GDistribution, RationalRealContext, powerset_field
 from padicprob.limits import (
+    SumDistribution,
     _residue_law,
+    ball_probability,
+    binom,
+    binom_vp,
     binomial_ball_trace,
+    binomial_limit_weights,
+    charfun_series,
+    charfun_to_mahler,
+    check_tested_depth,
     checkpoint_pattern_distribution,
+    clt_mahler_bound_check,
+    clt_series,
+    divisibility_balance_traces,
+    empirical_mahler,
+    empirical_mahler_row,
     hit_union_probability,
+    mahler_lambda,
+    mahler_lln_traces,
+    mahler_row,
+    padic_binomial_coeff,
+    prime_edge_trace,
     sphere_probability,
+    sphere_randomness_test,
     symmetric_params,
 )
+from padicprob.padic import Ball, PadicApprox, Prime, falling_binomial, to_approx
+from padicprob.series import constant, cosh_scaled_sq, exp_scaled, identity, log1p_series, one
 
 SOURCES = sorted(pathlib.Path(padicprob.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -107,6 +145,124 @@ def test_roots_are_disjoint():
     ids=["affine-t", "power-t", "kmax", "ball-trace-t"],
 )
 def test_selector_reads_integers(call, message):
+    with pytest.raises(errors.RangeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+SYM3 = symmetric_params(3)
+BITS = Collective.periodic("01")
+TO_2 = SequenceSelector(3, "affine", target=2)
+TO_1 = SequenceSelector(3, "affine", target=1)
+
+# (parameter, call with the value v in its slot, the least value it takes
+# or None); every integer argument is read by padic._as_int
+INTEGER_PARAMETERS = [
+    ("prime", lambda v: Prime(v), None),
+    ("digit count", lambda v: to_approx(1, 3, v), 1),
+    ("absolute precision", lambda v: PadicApprox.from_rational_abs(1, 3, v), None),
+    ("exponent", lambda v: to_approx(2, 3, 4) ** v, 0),
+    ("radius exponent", lambda v: Ball(3, 0, v), None),
+    ("m", lambda v: falling_binomial(2, v), 0),
+    ("n", lambda v: binom(v, 1), 1),
+    ("r", lambda v: binom(3, v), 0),
+    ("n", lambda v: binom_vp(v, 1, 3), 1),
+    ("r", lambda v: binom_vp(3, v, 3), 0),
+    ("m", lambda v: padic_binomial_coeff(2, v, 3), 0),
+    ("n", lambda v: SumDistribution(v, SYM3), 0),
+    ("j", lambda v: SumDistribution(3, SYM3).weight(v), None),
+    ("n", lambda v: ball_probability(SYM3, v, 1, 0), 0),
+    ("depth", lambda v: ball_probability(SYM3, 4, v, 0), 0),
+    ("center", lambda v: ball_probability(SYM3, 4, 1, v), None),
+    ("n", lambda v: sphere_probability(SYM3, v, 1, 0), 0),
+    ("m", lambda v: binomial_limit_weights(v), 0),
+    ("m", lambda v: binomial_ball_trace(3, v, 1, 1, kmax=2), None),
+    ("r", lambda v: binomial_ball_trace(3, 2, v, 1, kmax=2), None),
+    ("depth", lambda v: binomial_ball_trace(3, 2, 1, v, kmax=2), None),
+    ("kmax", lambda v: binomial_ball_trace(3, 2, 1, 1, kmax=v), 1),
+    ("t", lambda v: binomial_ball_trace(3, 2, 1, 1, kmax=2, t=v), 1),
+    ("threshold", lambda v: binomial_ball_trace(3, 2, 1, 1, kmax=2, threshold=v), None),
+    ("r", lambda v: prime_edge_trace(3, v, 1, kmax=2), None),
+    ("t", lambda v: divisibility_balance_traces(3, kmax=2, t=v), 1),
+    ("m", lambda v: mahler_lambda(SYM3, 2, v), 0),
+    ("mmax", lambda v: mahler_row(SYM3, 2, v), 0),
+    ("n", lambda v: empirical_mahler(SYM3, v, 1), 0),
+    ("m", lambda v: empirical_mahler(SYM3, 3, v), 0),
+    ("n", lambda v: empirical_mahler_row(SYM3, v, 2), 0),
+    ("mmax", lambda v: mahler_lln_traces(SYM3, TO_2, v, 3), 0),
+    ("truncation order", lambda v: clt_series(1, v), 0),
+    ("truncation order", lambda v: charfun_series(SYM3, 2, v), 0),
+    ("count", lambda v: charfun_to_mahler(clt_series(1, 4), v), 0),
+    ("count", lambda v: clt_mahler_bound_check(3, v), 0),
+    ("depth", lambda v: check_tested_depth(v), None),
+    ("depth", lambda v: sphere_randomness_test(BITS, 3, v, 0, TO_1, 2, 4), None),
+    ("center", lambda v: sphere_randomness_test(BITS, 3, 1, v, TO_1, 2, 4), None),
+    ("eps_exponent", lambda v: sphere_randomness_test(BITS, 3, 1, 0, TO_1, v, 4), None),
+    ("kmax", lambda v: sphere_randomness_test(BITS, 3, 1, 0, TO_1, 2, v), 1),
+    ("kmin", lambda v: sphere_randomness_test(BITS, 3, 1, 0, TO_1, 2, 4, kmin=v), 1),
+    ("depth", lambda v: checkpoint_pattern_distribution(3, v, 0, [4]), 0),
+    ("checkpoint", lambda v: checkpoint_pattern_distribution(3, 1, 0, [v]), 1),
+    ("center", lambda v: hit_union_probability(3, 1, v, [4]), None),
+    ("from_index", lambda v: hit_union_probability(3, 1, 0, [4, 10], from_index=v), 0),
+    ("prefix length", lambda v: BITS.prefix(v), 0),
+    ("prefix length", lambda v: BITS.count("1", v), 0),
+    ("N", lambda v: relative_frequency(BITS, "1", v), 1),
+    ("depth", lambda v: event_residues(3, v, 0, "ball", 10), 0),
+    ("center", lambda v: event_residues(3, 1, v, "ball", 10), None),
+    ("n", lambda v: event_residues(3, 1, 0, "ball", v), 0),
+    ("depth", lambda v: checkpoint_forcing_bits(3, v, 0, [4]), 0),
+    ("checkpoint", lambda v: checkpoint_forcing_bits(3, 1, 0, [v]), 1),
+    ("t", lambda v: SequenceSelector(3, "affine", target=2, t=v), 1),
+    ("sample size", lambda v: SequenceSelector(3, "explicit", explicit_terms=(v,)), 1),
+    ("kmax", lambda v: SequenceSelector(3, "power").terms(v), 1),
+    ("window", lambda v: s_probability(BITS, "1", TO_1, 4, window=v), 1),
+    ("cauchy_threshold", lambda v: s_probability(BITS, "1", TO_1, 4, cauchy_threshold=v), None),
+    ("window", lambda v: conditional_s_probability(BITS, "1", "0", TO_1, 4, window=v), 1),
+    ("n", lambda v: decode_jq(v, 3, 2), None),
+    ("depth", lambda v: decode_jq(1, 3, v), 0),
+    ("table depth", lambda v: CylinderMeasure(2, 3, v, {}), 0),
+    ("depth", lambda v: integrate_continuous(UniformMeasure(2, 3), digit_weight_map(2, 3), v), 0),
+    ("truncation order", lambda v: one(v), 0),
+    ("truncation order", lambda v: constant(2, v), 0),
+    ("truncation order", lambda v: exp_scaled(1, v), 0),
+    ("truncation order", lambda v: log1p_series(v), 0),
+    ("truncation order", lambda v: cosh_scaled_sq(1, v), 0),
+    ("truncation order", lambda v: identity(v), 1),
+    ("n", lambda v: one(3).integer_power(v), 0),
+]
+INTEGER_CASES = [
+    pytest.param(what, call, value, id=f"{i}-{what}-{value!r}")
+    for i, (what, call, least) in enumerate(INTEGER_PARAMETERS)
+    for value in (2.5, "3", True) + (() if least is None else (least - 1,))
+]
+
+
+@pytest.mark.parametrize("what,call,value", INTEGER_CASES)
+def test_integer_parameters_are_read_once(what, call, value):
+    # a float, a string, a bool, or a value below the least raises RangeError naming the parameter
+    with pytest.raises(errors.RangeError) as info:
+        call(value)
+    assert what in str(info.value)
+
+
+def test_lower_bound_message_only_in_padic():
+    # every lower bound of an integer argument is refused by padic._as_int, in one wording
+    found = [path.name for path in SOURCES if path.name != "padic.py" and "must be a natural" in path.read_text()]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: StepFunction(3, [("0", 1, 2)]), "step function piece must be a pair, got ('0', 1, 2)"),
+        (
+            lambda: CriticalRegionTest(GDistribution(RationalRealContext(), [("a", 1)]), [5]),
+            "critical region must be a pair, got 5",
+        ),
+    ],
+    ids=["step-piece", "critical-region"],
+)
+def test_pair_arguments(call, message):
     with pytest.raises(errors.RangeError) as info:
         call()
     assert str(info.value) == message
@@ -234,6 +390,37 @@ class TestBoundaries:
             Collective.periodic("01").prefix(2**30 + 1)
         # a periodic count is closed form, with no limit
         assert Collective.periodic("011").count("1", 3 * 10**12 + 2) == 2 * 10**12 + 1
+
+
+    def test_mahler_rows(self):
+        # a natural a has no nonzero term past a, so a row of 10**5 terms of C(5, m) is short
+        row = mahler_row(SYM3, 5, 10**5)
+        assert len(row) == 10**5 + 1 and row[6:] == [0] * (10**5 - 5)
+        with pytest.raises(errors.RangeError, match=r"^Mahler rows through m=100000 may hold \d+ bits, more"):
+            mahler_row(SYM3, Fraction(1, 2), 10**5)
+        # the lln rows are refused together: the target's row and one per sample size
+        with pytest.raises(errors.RangeError, match=r"^Mahler rows through m=3000 may hold \d+ bits, more"):
+            mahler_lln_traces(SYM3, TO_2, 3000, 100)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lln", "--prime", "3", "--scheme", "2+p^k", "--kmax", "100", "--mmax", "3000"],
+            ["mahler", "--prime", "3", "--mmax", "200000", "--n", str(10**30)],
+        ],
+        ids=["lln", "mahler-n"],
+    )
+    def test_mahler_rows_refused_at_once(self, capsys, argv):
+        # each ran for seconds and ended in a MemoryError under a 1.5 GB address space
+        start = time.monotonic()
+        assert main(argv) == EXIT_CODES["parse"]
+        captured = capsys.readouterr()
+        assert time.monotonic() - start < 2
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: Mahler rows through m=\d+ may hold \d+ bits, more than the limit of 8589934592",
+            captured.err.splitlines()[-1],
+        )
 
 
 class TestChainCost:

@@ -70,6 +70,13 @@ class TestCollective:
         assert str(periodic.value) == str(given.value)
         assert Collective.periodic("0110", alphabet="01").prefix(10) == "0110011001"
 
+    def test_periodic_word_given_as_a_list(self):
+        # the word is joined, as from_sequence joins its symbols
+        listed, word = Collective.periodic(["0", "1"]), Collective.periodic("01")
+        assert listed.prefix(3) == word.prefix(3) == "010"
+        assert listed.count("1", 5) == word.count("1", 5) == 2
+        assert listed.description == word.description
+
     def test_random_bits_deterministic(self):
         a = Collective.random_bits(42).prefix(64)
         b = Collective.random_bits(42).prefix(64)

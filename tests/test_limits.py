@@ -1150,7 +1150,7 @@ class TestCheckpointPatterns:
 
     def test_union_from_index_bounds(self):
         terms = [1 + 3**k for k in range(1, 5)]
-        with pytest.raises(RangeError, match="from_index must be >= 0"):
+        with pytest.raises(RangeError, match="from_index must be a natural"):
             hit_union_probability(3, 1, 0, terms, from_index=-1)
         # past the last checkpoint the union is empty
         assert hit_union_probability(3, 1, 0, terms, from_index=len(terms)) == 0
