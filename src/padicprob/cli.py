@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 from . import limits
 from .cylinder import UniformMeasure, digit_weight_map, integrate_continuous
@@ -34,6 +33,7 @@ from .reports import (
     format_value,
     json_exponent,
     table_lines,
+    unlimited_int_text,
 )
 
 EXIT_CODES = {"ok": 0, "parse": 2, "hypothesis": 3, "data": 4, "domain": 5}
@@ -51,21 +51,6 @@ def _default_digits() -> str:
     # a string default goes through the option's type check, so a bad
     # value is reported as an argument error (exit 2), not a traceback
     return os.environ.get("PADICPROB_PRECISION", str(DEFAULT_PRECISION))
-
-
-@contextmanager
-def _unlimited_int_text():
-    """Lift the interpreter's int-to-text digit limit while a handler
-    runs: exact reports print their integers at any size."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def _emit(lines, path):
@@ -424,7 +409,7 @@ def main(argv=None) -> int:
     args = _parser(os.environ.get("PADICPROB_PRECISION")).parse_args(argv)
     _echo_config(args)
     try:
-        with _unlimited_int_text():
+        with unlimited_int_text():
             lines, summary = globals()[f"_cmd_{args.cmd}"](args)
         _emit(lines, args.output)
     except PadicProbError as exc:

@@ -168,6 +168,7 @@ def _minus(a, b, q):
     return out
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Clopen:
     """A clopen subset in normal form: a sorted antichain of prefixes
     with no complete sibling family left unmerged.
@@ -189,7 +190,8 @@ class Clopen:
         Clopen(q=3, '0')
     """
 
-    __slots__ = ("q", "words", "_trie")
+    q: int
+    words: tuple[Word, ...]
 
     def __init__(self, q, words=()):
         if isinstance(words, str):
@@ -198,6 +200,7 @@ class Clopen:
         self._fill(q, _trie([_as_word(w, q) for w in words], q))
 
     def _fill(self, q, trie):
+        # the trie is kept but is no field: sets compare by (q, words)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_trie", trie)
         object.__setattr__(self, "words", tuple(_leaves(trie, (), [])))
@@ -208,10 +211,9 @@ class Clopen:
         out._fill(self.q, trie)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Clopen is immutable")
-
     def __reduce__(self):
+        # the trie marks full subtrees by identity with _FULL, so a copy
+        # rebuilds it from the words
         return (Clopen, (self.q, self.words))
 
     @classmethod
@@ -264,14 +266,6 @@ class Clopen:
         if any(w[: len(prefix)] == prefix for w in self.words):
             raise RangeError(f"prefix {prefix} too short to decide membership")
         return False
-
-    def __eq__(self, other):
-        if not isinstance(other, Clopen):
-            return NotImplemented
-        return self.q == other.q and self.words == other.words
-
-    def __hash__(self):
-        return hash((self.q, self.words))
 
     def __repr__(self):
         return f"Clopen(q={self.q}, {format_clopen(self)!r})"

@@ -164,6 +164,7 @@ class Collective:
 
     @classmethod
     def random_bits(cls, seed: int) -> "Collective":
+        seed = _as_int(seed, "seed")
         return cls("01", generator=_RandomBits(seed), description=f"random:{seed}")
 
     def with_alphabet(self, alphabet) -> "Collective":

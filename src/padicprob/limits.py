@@ -45,6 +45,7 @@ from .padic import (
     Prime,
     _as_int,
     _numerators,
+    abs_p,
     as_fraction,
     binomial_terms,
     digit_count,
@@ -556,12 +557,7 @@ class MahlerSeq:
 
     def max_abs(self, prime) -> PadicAbs:
         p = Prime(prime)
-        best = PadicAbs.zero(p)
-        for c in self.coefficients:
-            cand = PadicAbs.from_valuation(p, vp(c, p))
-            if cand > best:
-                best = cand
-        return best
+        return max((abs_p(c, p) for c in self.coefficients), default=PadicAbs.zero(p))
 
 
 def stirling_first_rows(nmax: int):

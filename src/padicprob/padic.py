@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -177,6 +178,7 @@ def vp(x, p) -> int | float:
 
 
 @functools.total_ordering
+@dataclass(frozen=True, repr=False)
 class PadicAbs:
     """A p-adic absolute value p**exponent; exponent -inf encodes 0.
 
@@ -184,13 +186,13 @@ class PadicAbs:
     adding exponents.
     """
 
-    __slots__ = ("prime", "exponent")
+    prime: Prime
+    exponent: int | float
 
-    def __init__(self, prime, exponent):
-        self.prime = Prime(prime)
-        if exponent != -math.inf and not isinstance(exponent, int):
-            raise TypeError("exponent must be an int or -inf")
-        self.exponent = exponent
+    def __post_init__(self):
+        object.__setattr__(self, "prime", Prime(self.prime))
+        if self.exponent != -math.inf:
+            object.__setattr__(self, "exponent", _as_int(self.exponent, "exponent"))
 
     @classmethod
     def zero(cls, p) -> "PadicAbs":
@@ -209,11 +211,7 @@ class PadicAbs:
         return self.exponent == -math.inf
 
     def as_fraction(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if self.exponent >= 0:
-            return Fraction(self.prime**self.exponent)
-        return Fraction(1, self.prime ** (-self.exponent))
+        return Fraction(0) if self.is_zero else Fraction(self.prime) ** self.exponent
 
     def _check(self, other) -> "PadicAbs":
         if not isinstance(other, PadicAbs):
@@ -225,14 +223,6 @@ class PadicAbs:
     def __mul__(self, other):
         other = self._check(other)
         return PadicAbs(self.prime, self.exponent + other.exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicAbs):
-            return NotImplemented
-        return self.prime == other.prime and self.exponent == other.exponent
-
-    def __hash__(self):
-        return hash((self.prime, self.exponent))
 
     def __lt__(self, other):
         other = self._check(other)
@@ -269,32 +259,26 @@ def dist_p(x, y, p) -> PadicAbs:
     return abs_p(as_fraction(x) - as_fraction(y), p)
 
 
+@dataclass(frozen=True, repr=False)
 class _Region:
     """A ball or sphere around a rational center; compares by value, and
     only with its own kind."""
 
-    __slots__ = ("prime", "center", "radius_exponent")
+    prime: Prime
+    center: Fraction
+    radius_exponent: int
 
-    def __init__(self, prime, center, radius_exponent: int):
-        self.prime = Prime(prime)
-        self.center = as_fraction(center)
-        self.radius_exponent = _as_int(radius_exponent, "radius exponent")
-
-    def _key(self):
-        return (self.prime, self.center, self.radius_exponent)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    def __post_init__(self):
+        object.__setattr__(self, "prime", Prime(self.prime))
+        object.__setattr__(self, "center", as_fraction(self.center))
+        object.__setattr__(self, "radius_exponent", _as_int(self.radius_exponent, "radius exponent"))
 
     def __repr__(self):
         return f"{type(self).__name__}(p={self.prime}, center={self.center}, radius_exponent={self.radius_exponent})"
 
 
+# each kind is decorated too, so that it refuses new attribute names as well
+@dataclass(frozen=True, repr=False)
 class Ball(_Region):
     """Closed-open ball U(center, l) = {x : v_p(x - center) >= l}.
 
@@ -302,16 +286,13 @@ class Ball(_Region):
     Balls are clopen: membership is an exact valuation comparison.
     """
 
-    __slots__ = ()
-
     def contains(self, x) -> bool:
         return vp(as_fraction(x) - self.center, self.prime) >= self.radius_exponent
 
 
+@dataclass(frozen=True, repr=False)
 class Sphere(_Region):
     """Sphere S(center, l) = {x : v_p(x - center) == l}."""
-
-    __slots__ = ()
 
     def contains(self, x) -> bool:
         return vp(as_fraction(x) - self.center, self.prime) == self.radius_exponent

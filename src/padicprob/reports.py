@@ -9,7 +9,8 @@ with sorted keys: a rational is format_rational's "num/den" (the integer
 alone when the denominator is 1), an exponent goes through json_exponent
 and a flag is a boolean. A given summary is one more JSON object; CSV has none.
 A rational's integers are written by int_text, which is str() in less
-than quadratic time.
+than quadratic time, and a table is written under unlimited_int_text,
+so an exact report prints its integers at any size.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 
@@ -31,6 +33,21 @@ FLAG = "flag"
 #: integers of at most this many bits are written by plain str()
 TEXT_CUTOFF_BITS = 2**15
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+@contextmanager
+def unlimited_int_text():
+    """Lift the interpreter's int-to-text digit limit inside the block, and
+    restore it after: exact reports print their integers at any size."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def int_text(n: int) -> str:
@@ -112,6 +129,7 @@ _CSV_CELL = {
 _JSON_VALUE = {INT: int, RATIONAL: format_rational, EXPONENT: json_exponent, FLAG: bool}
 
 
+@unlimited_int_text()
 def table_lines(columns, rows, fmt: str, summary=None) -> list[str]:
     """The lines of a report in `fmt` ("csv" or "json"): a CSV header and one
     line per row, or one JSON object per row and then the summary, if given."""

@@ -8,6 +8,7 @@ refuses a negative truncation order with RangeError.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -15,11 +16,14 @@ from .errors import DomainError, OrderError, RangeError
 from .padic import _as_int, as_fraction, ratio_terms
 
 
+@dataclass(frozen=True, repr=False)
 class FormalSeries:
-    __slots__ = ("coeffs",)
+    """The series c_0 + c_1 z + ... + c_D z**D truncated at order D."""
 
-    def __init__(self, coeffs):
-        self.coeffs = tuple(as_fraction(c) for c in coeffs)
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
         if not self.coeffs:
             raise RangeError("series needs at least the constant coefficient")
 
@@ -28,8 +32,9 @@ class FormalSeries:
         return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} outside truncation order {self.order}")
+        k = _as_int(k, "k", 0)
+        if k > self.order:
+            raise RangeError(f"coefficient k={k} is past the truncation order {self.order}")
         return self.coeffs[k]
 
     def _check(self, other: "FormalSeries") -> "FormalSeries":
@@ -111,14 +116,6 @@ class FormalSeries:
             acc = sum((r * k - n * s) * b[k] * out[n - k] for k in range(1, n + 1) if b[k])
             out.append(Fraction(acc, n * s))
         return FormalSeries(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])

@@ -172,6 +172,27 @@ class TestTraceCommands:
         assert out.splitlines() == expected
         assert len(expected[-1].split(",")[3]) > 5000  # the last denominator
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_library_report_beyond_int_text_limit(self, capsys, fmt):
+        # the library writes the kmax-9 report under the default limit, as the CLI does
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            lines = binomial_ball_trace(3, 2, 1, 1, kmax=9).report_lines(fmt)
+            assert sys.get_int_max_str_digits() == 4300
+            rc, out, _ = run(
+                capsys,
+                ["thm31", "--prime", "3", "--m", "2", "--r", "1", "--l", "1", "--kmax", "9", "--format", fmt],
+            )
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert rc == 0
+        assert out.splitlines() == lines
+
     def test_divisibility_balance(self, capsys):
         rc, out, err = run(capsys, ["eq5", "--prime", "3"])
         assert rc == 0

@@ -57,7 +57,7 @@ from padicprob.limits import (
     sphere_randomness_test,
     symmetric_params,
 )
-from padicprob.padic import Ball, PadicApprox, Prime, falling_binomial, to_approx
+from padicprob.padic import Ball, PadicAbs, PadicApprox, Prime, falling_binomial, to_approx
 from padicprob.series import constant, cosh_scaled_sq, exp_scaled, identity, log1p_series, one
 
 SOURCES = sorted(pathlib.Path(padicprob.__file__).parent.glob("*.py"))
@@ -229,6 +229,9 @@ INTEGER_PARAMETERS = [
     ("truncation order", lambda v: cosh_scaled_sq(1, v), 0),
     ("truncation order", lambda v: identity(v), 1),
     ("n", lambda v: one(3).integer_power(v), 0),
+    ("exponent", lambda v: PadicAbs(3, v), None),
+    ("k", lambda v: one(3).coefficient(v), 0),
+    ("seed", lambda v: Collective.random_bits(v), None),
 ]
 INTEGER_CASES = [
     pytest.param(what, call, value, id=f"{i}-{what}-{value!r}")

@@ -145,6 +145,12 @@ class TestPadicAbs:
             with pytest.raises(TypeError):
                 compare(Fraction(1, 3))
 
+    def test_exponent_is_an_int_or_minus_inf(self):
+        # test_errors reads the exponent's other refusals
+        assert PadicAbs(3, -math.inf).is_zero
+        with pytest.raises(RangeError, match="^exponent must be an int, got float"):
+            PadicAbs(3, math.inf)
+
     @given(PRIMES, st.integers(-5, 5) | st.just(-math.inf), st.integers(-5, 5) | st.just(-math.inf))
     def test_comparisons_follow_exponents(self, p, e, f):
         a, b = PadicAbs(p, e), PadicAbs(p, f)

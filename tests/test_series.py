@@ -152,7 +152,8 @@ def test_scale_and_neg():
 
 
 def test_coefficient_bounds():
-    with pytest.raises(IndexError):
+    # an index past the truncation order is a refused argument
+    with pytest.raises(RangeError, match="k=4"):
         one(3).coefficient(4)
 
 
